@@ -4,8 +4,10 @@
 //
 // Workload: AFS-2 with n clients, safety property (Afs1').
 //  - compositional: n+1 per-component obligations (invariance rule);
-//  - compositional-parallel: the same obligations fanned out on a thread
-//    pool (one BDD manager per obligation);
+//  - service: the genmodel AFS-2 family at n run as one compose job on
+//    service::VerificationService — every (module, spec) obligation and
+//    every spec on the composition fanned out on the worker pool (one BDD
+//    manager per obligation);
 //  - monolithic: compose all components and model check AG(Inv) on the
 //    product directly (state space grows as ~168^n · 2).
 //
@@ -17,6 +19,8 @@
 #include "afs/verify_afs2.hpp"
 #include "bench_common.hpp"
 #include "comp/verifier.hpp"
+#include "gen/modelgen.hpp"
+#include "service/scheduler.hpp"
 #include "util/timer.hpp"
 
 using namespace cmc;
@@ -38,33 +42,19 @@ bool monolithicCheck(int n, std::uint64_t* transNodes) {
   return checker.holds(spec);
 }
 
-std::vector<comp::Obligation> compositionalObligations(int n) {
-  std::vector<comp::Obligation> obligations;
-  for (int component = 0; component <= n; ++component) {
-    obligations.push_back(comp::Obligation{
-        "component " + std::to_string(component), [n, component] {
-          symbolic::Context ctx(1 << 14);
-          afs::Afs2Components comps =
-              afs::buildAfs2(ctx, n, /*reflexive=*/true);
-          std::vector<symbolic::SymbolicSystem> all;
-          all.push_back(comps.server.sys);
-          for (const smv::ElaboratedModule& c : comps.clients) {
-            all.push_back(c.sys);
-          }
-          std::vector<symbolic::VarId> everything;
-          for (const symbolic::SymbolicSystem& sys : all) {
-            everything.insert(everything.end(), sys.vars.begin(),
-                              sys.vars.end());
-          }
-          const symbolic::SymbolicSystem expanded =
-              symbolic::expand(all[component], everything);
-          symbolic::Checker checker(expanded);
-          const ctl::FormulaPtr inv = afs::afs2Invariant(n);
-          return checker.holds(ctl::Restriction::trivial(),
-                               ctl::mkImplies(inv, ctl::AX(inv)));
-        }});
-  }
-  return obligations;
+/// The genmodel AFS-2 job with n clients, composed, on a fresh uncached
+/// service using every core; true iff every obligation holds.
+bool serviceCheck(int n) {
+  service::VerificationJob job;
+  job.name = "afs2-" + std::to_string(n);
+  job.smvText = gen::afs2Model(static_cast<std::size_t>(n));
+  job.options.compose = true;
+  job.options.engine = symbolic::EngineMode::Auto;
+  service::ServiceOptions sopts;
+  sopts.threads = 0;  // hardware concurrency
+  sopts.cacheEnabled = false;
+  service::VerificationService svc(sopts);
+  return svc.run(job).allHold();
 }
 
 void report() {
@@ -72,7 +62,7 @@ void report() {
       "== section 5: compositional (linear) vs monolithic (exponential) ==\n");
   std::printf(
       "%3s  %12s  %10s  %14s  %12s  %16s\n", "n", "states", "comp. (s)",
-      "comp. par. (s)", "monol. (s)", "monol. T nodes");
+      "service (s)", "monol. (s)", "monol. T nodes");
   for (int n = 1; n <= 4; ++n) {
     // State count of the composed system.
     double states = 2.0;  // failure
@@ -82,8 +72,7 @@ void report() {
     const double seqSeconds = seq.seconds();
 
     WallTimer par;
-    const comp::ParallelReport parRep =
-        comp::runObligations(compositionalObligations(n));
+    const bool serviceOk = serviceCheck(n);
     const double parSeconds = par.seconds();
 
     double monoSeconds = -1.0;
@@ -94,7 +83,7 @@ void report() {
       monoSeconds = mono.seconds();
       if (!ok) std::printf("  !! monolithic check FAILED at n=%d\n", n);
     }
-    if (!rep.safety || !parRep.allOk) {
+    if (!rep.safety || !serviceOk) {
       std::printf("  !! compositional check FAILED at n=%d\n", n);
     }
     std::printf("%3d  %12.3g  %10.4f  %14.4f  %12.4f  %16llu\n", n, states,
@@ -115,16 +104,14 @@ void BM_Compositional(benchmark::State& state) {
 BENCHMARK(BM_Compositional)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_CompositionalParallel(benchmark::State& state) {
+void BM_Service(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const comp::ParallelReport rep =
-        comp::runObligations(compositionalObligations(n));
-    benchmark::DoNotOptimize(rep.allOk);
+    benchmark::DoNotOptimize(serviceCheck(n));
   }
   state.counters["clients"] = n;
 }
-BENCHMARK(BM_CompositionalParallel)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
+BENCHMARK(BM_Service)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Monolithic(benchmark::State& state) {

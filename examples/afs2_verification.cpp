@@ -1,69 +1,21 @@
 // The paper's §4.3 case study: AFS-2 with callbacks, updates, failures and
 // transmission delay, verified compositionally for n clients.  Also
-// demonstrates the parallel obligation runner: the per-component checks are
-// independent, so they fan out across cores.
+// discharges the same family through the verification service: every
+// (module, spec) obligation and every spec on the composition fans out
+// across the worker pool, one BDD manager per obligation.
 //
 //   $ ./afs2_verification [numClients] [--cross-check]
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
 
-#include "afs/afs2.hpp"
 #include "afs/smv_sources.hpp"
 #include "afs/verify_afs2.hpp"
-#include "comp/verifier.hpp"
-#include "symbolic/checker.hpp"
+#include "gen/modelgen.hpp"
+#include "service/scheduler.hpp"
 
 using namespace cmc;
-
-namespace {
-
-/// Build the per-component invariant-step obligations as self-contained
-/// parallel tasks (each builds its own BDD manager).
-std::vector<comp::Obligation> parallelObligations(int numClients) {
-  std::vector<comp::Obligation> obligations;
-  const ctl::FormulaPtr inv = afs::afs2Invariant(numClients);
-  const ctl::FormulaPtr step = ctl::mkImplies(inv, ctl::AX(inv));
-
-  auto makeCheck = [numClients, step](std::string name, int component) {
-    return comp::Obligation{
-        std::move(name), [numClients, step, component] {
-          symbolic::Context ctx(1 << 14);
-          afs::Afs2Components comps =
-              afs::buildAfs2(ctx, numClients, /*reflexive=*/true);
-          comp::CompositionalVerifier verifier(ctx);
-          verifier.addComponent(comps.server.sys);
-          for (const smv::ElaboratedModule& client : comps.clients) {
-            verifier.addComponent(client.sys);
-          }
-          // Check the universal step obligation on this one component's
-          // expansion by registering only it plus the alphabet carriers.
-          comp::ProofTree proof;
-          const ctl::Spec spec{"step", ctl::Restriction::trivial(), step};
-          // verify() checks every component; emulate the single-component
-          // obligation by checking the chosen expansion directly.
-          symbolic::SymbolicSystem exp = verifier.component(component);
-          std::vector<symbolic::VarId> extra;
-          for (std::size_t i = 0; i < verifier.componentCount(); ++i) {
-            for (symbolic::VarId v : verifier.component(i).vars) {
-              extra.push_back(v);
-            }
-          }
-          symbolic::SymbolicSystem expanded = symbolic::expand(exp, extra);
-          symbolic::Checker checker(expanded);
-          return checker.holds(spec.r, spec.f);
-        }};
-  };
-
-  obligations.push_back(makeCheck("server: Inv => AX Inv", 0));
-  for (int i = 1; i <= numClients; ++i) {
-    obligations.push_back(
-        makeCheck("client " + std::to_string(i) + ": Inv => AX Inv", i));
-  }
-  return obligations;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int numClients = 2;
@@ -91,9 +43,24 @@ int main(int argc, char** argv) {
   std::cout << "  per-component model checks:    " << report.componentChecks
             << " (linear in the number of clients)\n\n";
 
-  std::cout << "== parallel discharge of the same obligations ==\n";
-  const comp::ParallelReport parallel =
-      comp::runObligations(parallelObligations(numClients));
-  std::cout << parallel.summary();
-  return report.allOk() && parallel.allOk ? 0 : 1;
+  std::cout << "== parallel discharge through the verification service ==\n";
+  service::VerificationJob job;
+  job.name = "afs2-" + std::to_string(numClients);
+  job.smvText = gen::afs2Model(static_cast<std::size_t>(numClients));
+  job.options.compose = true;
+  job.options.engine = symbolic::EngineMode::Auto;
+  service::ServiceOptions sopts;
+  sopts.threads = 0;  // hardware concurrency
+  sopts.cacheEnabled = false;
+  service::VerificationService svc(sopts);
+  const service::JobReport parallel = svc.run(job);
+  for (const service::ObligationOutcome& o : parallel.obligations) {
+    const bool ok = o.verdict == service::Verdict::Holds;
+    std::cout << "  " << (ok ? "ok  " : "FAIL") << ' ' << o.id << "  ["
+              << o.rule << "] (" << o.seconds << " s)\n";
+  }
+  std::cout << (parallel.allHold() ? "ALL OK" : "FAILURES") << " ("
+            << parallel.obligations.size() << " obligations, "
+            << parallel.wallSeconds << " s wall)\n";
+  return report.allOk() && parallel.allHold() ? 0 : 1;
 }

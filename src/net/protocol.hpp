@@ -9,8 +9,7 @@
 //           or {"cmd": "CHECK", "model": "models/afs1_composed.smv", ...}
 //           Options (all optional, defaulting to the server's):
 //             "compose" (bool), "deadline_ms" (uint), "node_budget" (uint),
-//             "engine" ("auto" | "partitioned" | "monolithic" | "bes" |
-//                       "race"),
+//             "engine" ("auto" | "partitioned" | "monolithic"),
 //             "no_retry" (bool), "trace_force" (bool),
 //             "cluster" (uint), "reorder" (bool), "name" (job name)
 //   STATUS  {"cmd": "STATUS"}
@@ -61,10 +60,12 @@ constexpr std::size_t kMaxLineBytes = 8u << 20;
 /// peer must understand — rev 2 added the single-obligation CHECK filter
 /// ("only") the cluster coordinator forwards on; rev 3 added the cluster
 /// admin verbs (TOPOLOGY/JOIN/LEAVE) and the CACHE_PUT replica
-/// write-through.  The coordinator refuses shards whose revision differs
+/// write-through; rev 4 removed the "bes" and "race" engine values (now
+/// BAD_REQUEST).  The coordinator refuses shards whose revision differs
 /// from its own: an old shard would silently ignore "only" (wrong, not
-/// slow) or drop replica puts (silently un-replicated).
-constexpr std::uint64_t kProtocolRevision = 3;
+/// slow), drop replica puts (silently un-replicated), or accept engines
+/// this revision rejects.
+constexpr std::uint64_t kProtocolRevision = 4;
 
 /// Error codes of failure responses.
 inline constexpr const char* kBadRequest = "BAD_REQUEST";

@@ -5,9 +5,9 @@
 // or an in-memory ModelFactory.  The service expands a job into independent
 // *obligations* — one per (module, spec), plus one per spec on the composed
 // system when `compose` is set — and fans them onto a thread pool.  Every
-// obligation rebuilds its models in a fresh symbolic::Context because BDD
-// managers are single-threaded (the same discipline as
-// comp::runObligations).
+// obligation attempt runs in its own fresh symbolic::Context (imported from
+// the job's elaboration snapshot, or rebuilt) because BDD managers are
+// single-threaded.
 //
 // Verdicts extend the paper's two-valued M ⊨_r f with the resource-governed
 // outcomes a production service needs (docs/THEORY.md maps them back to
@@ -69,10 +69,7 @@ struct JobOptions {
   /// First-attempt verification engine.  Auto resolves per obligation
   /// through symbolic::chooseEngine (capped materialization probe, run once
   /// during the job's elaboration snapshot); Partitioned/Monolithic force
-  /// CheckerOptions::usePartitionedTrans directly; Bes runs the explicit
-  /// BES solver (falling back to partitioned where it declines); Race runs
-  /// BES and the symbolic engine concurrently per obligation — first sound
-  /// verdict wins, the loser is cancelled.  The library default stays
+  /// CheckerOptions::usePartitionedTrans directly.  The library default stays
   /// Partitioned for reproducible behavior; the cmc CLI defaults to Auto.
   symbolic::EngineMode engine = symbolic::EngineMode::Partitioned;
   /// Degradation policy: an obligation that exhausts its budget under one
@@ -132,7 +129,7 @@ struct VerificationJob {
 
 /// One engine attempt of one obligation.
 struct AttemptRecord {
-  std::string engine;  ///< "partitioned", "monolithic", or "bes"
+  std::string engine;  ///< "partitioned" or "monolithic"
   Verdict verdict = Verdict::Error;
   double seconds = 0.0;
   std::uint64_t peakLiveNodes = 0;

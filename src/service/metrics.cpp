@@ -8,12 +8,14 @@
 namespace cmc::service {
 
 const std::vector<double>& LatencyHistogram::bucketBounds() {
-  // 1 ms .. 60 s: sub-5 ms covers cache/journal hits, the middle of the
-  // ladder covers healthy checker attempts, the top covers budget-bound
-  // runs.  Keep in sync with kFiniteBuckets.
+  // 10 us .. 60 s, 1-2.5-5 per decade: the sub-millisecond rungs resolve
+  // cache/journal hits and the common small component obligations, the
+  // middle of the ladder covers healthy checker attempts, the top covers
+  // budget-bound runs.  Keep in sync with kFiniteBuckets.
   static const std::vector<double> kBounds = {
-      0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-      0.5,   1.0,    2.5,   5.0,  10.0,  30.0, 60.0};
+      0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
+      0.0025,  0.005,    0.01,    0.025,  0.05,    0.1,    0.25,
+      0.5,     1.0,      2.5,     5.0,    10.0,    30.0,   60.0};
   return kBounds;
 }
 

@@ -10,10 +10,12 @@
 //    and live for the registry's lifetime; call sites hold plain
 //    references, so the hot path is one relaxed atomic op — no lock, no
 //    lookup.  The registry mutex guards creation and snapshotting only.
-//  - Histograms use a fixed bucket ladder (1 ms .. 60 s, then +Inf),
-//    shared by every histogram so snapshots are comparable.  observe()
-//    is two relaxed atomic adds plus a branch-free-ish bucket scan over
-//    16 doubles — cheap enough for per-request and per-obligation use.
+//  - Histograms use a fixed bucket ladder (10 us .. 60 s at 1-2.5-5 per
+//    decade, then +Inf), shared by every histogram so snapshots are
+//    comparable; the sub-millisecond rungs resolve the small component
+//    obligations that are the common case.  observe() is two relaxed
+//    atomic adds plus a bucket scan over 21 doubles — cheap enough for
+//    per-request and per-obligation use.
 //  - Rendering: toJson() (nested, for the STATS response and the metrics
 //    trace event) and toText() (Prometheus-style lines, what `cmc submit
 //    --stats` prints, one metric per line so shell smoke tests can grep).
@@ -92,7 +94,7 @@ class LatencyHistogram {
   Snapshot snapshot() const;
 
  private:
-  static constexpr std::size_t kFiniteBuckets = 15;
+  static constexpr std::size_t kFiniteBuckets = 21;
   std::atomic<std::uint64_t> counts_[kFiniteBuckets + 1]{};
   std::atomic<std::uint64_t> count_{0};
   /// Sum in microseconds so it fits an atomic integer exactly.

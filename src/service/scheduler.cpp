@@ -5,10 +5,8 @@
 #include <future>
 #include <map>
 #include <optional>
-#include <thread>
 #include <utility>
 
-#include "bes/bes_checker.hpp"
 #include "comp/classify.hpp"
 #include "comp/verifier.hpp"
 #include "service/budget.hpp"
@@ -22,20 +20,16 @@ namespace cmc::service {
 namespace {
 
 /// The cooperative cancellation sources an obligation polls: the
-/// service-wide flag (SIGINT/SIGTERM wind-down of the whole embedder), the
-/// per-batch flag (one server request's CANCEL), and — under --engine race
-/// — the per-lane race flag the winning lane raises to stop the loser.
-/// Any one aborts.
+/// service-wide flag (SIGINT/SIGTERM wind-down of the whole embedder) and
+/// the per-batch flag (one server request's CANCEL).  Either one aborts.
 struct CancelFlags {
   const std::atomic<bool>* service = nullptr;
   const std::atomic<bool>* batch = nullptr;
-  const std::atomic<bool>* race = nullptr;
 
   bool requested() const noexcept {
     return (service != nullptr &&
             service->load(std::memory_order_relaxed)) ||
-           (batch != nullptr && batch->load(std::memory_order_relaxed)) ||
-           (race != nullptr && race->load(std::memory_order_relaxed));
+           (batch != nullptr && batch->load(std::memory_order_relaxed));
   }
 };
 
@@ -125,30 +119,18 @@ const char* engineName(bool partitioned) {
   return partitioned ? "partitioned" : "monolithic";
 }
 
-/// The concrete engine an attempt runs with.  Partitioned and Monolithic
-/// are the two symbolic fixpoint engines; Bes is the explicit-state BES
-/// solver.  EngineMode::Auto/Race are *policies* that resolve to lanes.
-enum class Lane { Partitioned, Monolithic, Bes };
+/// The concrete engine an attempt runs with: one of the two symbolic
+/// fixpoint engines.  EngineMode::Auto is a *policy* that resolves to a
+/// lane.
+enum class Lane { Partitioned, Monolithic };
 
 const char* laneName(Lane lane) {
-  switch (lane) {
-    case Lane::Partitioned: return "partitioned";
-    case Lane::Monolithic: return "monolithic";
-    case Lane::Bes: return "bes";
-  }
-  return "partitioned";
+  return engineName(lane == Lane::Partitioned);
 }
 
-/// Budget-degradation target: the symbolic engines swap with each other; a
-/// budget-stopped BES run degrades to the partitioned symbolic engine (the
-/// one that never materializes a product).
+/// Budget-degradation target: the two engines swap with each other.
 Lane otherLane(Lane lane) {
-  switch (lane) {
-    case Lane::Partitioned: return Lane::Monolithic;
-    case Lane::Monolithic: return Lane::Partitioned;
-    case Lane::Bes: return Lane::Partitioned;
-  }
-  return Lane::Partitioned;
+  return lane == Lane::Partitioned ? Lane::Monolithic : Lane::Partitioned;
 }
 
 std::string choiceJson(const symbolic::EngineChoice& c) {
@@ -190,7 +172,7 @@ std::string extractCounterexample(symbolic::Checker& checker,
       return *trace;
     }
     if (const auto witness = checker.violationWitness(spec.r, spec.f)) {
-      return "violating state: " + *witness;
+      return "violating state: " + *witness + "\n";
     }
   } catch (const symbolic::CancelledError&) {
   }
@@ -205,9 +187,6 @@ struct AttemptOutput {
   /// on the rebuild path); `choice` then carries the decision.
   bool autoResolved = false;
   symbolic::EngineChoice choice;
-  /// Non-empty when a requested Bes lane fell back to Partitioned (the
-  /// BES backend declined the obligation); carries the reason.
-  std::string besFallback;
   std::string rule;
   std::string counterexample;
   std::string proofJson;
@@ -218,9 +197,9 @@ struct AttemptOutput {
 /// adopts the snapshot's variable layout into a context pre-sized from its
 /// node counts and imports the BDDs it needs — a linear DAG copy in DFS
 /// order, no rehashing mid-import.  Otherwise (factory jobs, quarantine
-/// retries) it rebuilds from scratch as before.  `forceEngine` fixes the
-/// engine (retries, non-Auto modes, snapshot-resolved Auto); when absent
-/// the mode is Auto without a snapshot and the worker resolves it here.
+/// retries) it rebuilds from scratch as before.  `forceLane` fixes the
+/// engine (retries, fixed modes, snapshot-resolved Auto); when absent the
+/// mode is Auto without a snapshot and the worker resolves it here.
 AttemptOutput runAttempt(const ObligationDesc& d,
                          std::optional<Lane> forceLane, bool useSnapshot,
                          const CancelFlags& cancel) {
@@ -229,22 +208,8 @@ AttemptOutput runAttempt(const ObligationDesc& d,
   const ElaborationSnapshot* snap =
       useSnapshot ? d.snapshot.get() : nullptr;
 
-  // Lane, when already determined: forced by the caller or fixed by mode.
-  Lane lane = Lane::Partitioned;
-  bool engineKnown = false;
-  if (forceLane.has_value()) {
-    lane = *forceLane;
-    engineKnown = true;
-  } else if (jopts.engine == symbolic::EngineMode::Partitioned) {
-    lane = Lane::Partitioned;
-    engineKnown = true;
-  } else if (jopts.engine == symbolic::EngineMode::Monolithic) {
-    lane = Lane::Monolithic;
-    engineKnown = true;
-  } else if (jopts.engine == symbolic::EngineMode::Bes) {
-    lane = Lane::Bes;
-    engineKnown = true;
-  }
+  Lane lane = forceLane.value_or(Lane::Partitioned);
+  const bool engineKnown = forceLane.has_value();
   out.record.engine = engineKnown ? laneName(lane) : "auto";
 
   WallTimer timer;
@@ -288,10 +253,10 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     }
 
     if (!engineKnown) {
-      // Auto (or Race on the rebuild path) without a snapshot: probe on
-      // the freshly built system.  For a composed obligation the product
-      // is exactly what we refuse to build speculatively, so default to
-      // the engine that never materializes it.
+      // Auto without a snapshot: probe on the freshly built system.  For
+      // a composed obligation the product is exactly what we refuse to
+      // build speculatively, so default to the engine that never
+      // materializes it.
       if (!d.composed) {
         out.choice = symbolic::chooseEngine(modules.at(localIndex).sys);
       } else {
@@ -305,22 +270,6 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     }
 
     const ctl::Spec& spec = modules.at(localIndex).specs.at(d.specIndex);
-    if (lane == Lane::Bes) {
-      // The BES backend declines what it cannot decide exactly; the
-      // attempt then runs the partitioned symbolic engine and records why.
-      std::string whyNot;
-      const bool supported =
-          !d.composed &&
-          bes::BesChecker::supports(modules.at(localIndex).sys, spec,
-                                    &whyNot);
-      if (d.composed) {
-        whyNot = "composed obligation: BES checks component systems only";
-      }
-      if (!supported) {
-        out.besFallback = whyNot;
-        lane = Lane::Partitioned;
-      }
-    }
     out.lane = lane;
     out.record.engine = laneName(lane);
 
@@ -344,16 +293,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
 
     WallTimer fixpointTimer;
     try {
-      if (lane == Lane::Bes) {
-        out.rule = "direct";
-        bes::BesOptions bopts;
-        bopts.cancelCheck = copts.cancelCheck;
-        bes::BesChecker checker(modules.at(localIndex).sys, bopts);
-        const bes::BesResult r = checker.holds(spec);
-        out.record.verdict = r.holds ? Verdict::Holds : Verdict::Fails;
-        out.decided = true;
-        if (!r.holds) out.counterexample = r.counterexample;
-      } else if (!d.composed) {
+      if (!d.composed) {
         out.rule = "direct";
         symbolic::Checker checker(modules.at(localIndex).sys, copts);
         const bool holds = checker.holds(spec);
@@ -477,8 +417,7 @@ bool serveFromCache(const ObligationDesc& d, ObligationCache* cache,
   out.proofJson = hit->proofJson;
   out.seconds = cacheTimer.seconds();
   // Replayed verdicts stay attributable: the engine that decided the
-  // cached entry (the race winner, for raced obligations) is the replay's
-  // engine-choice record.
+  // cached entry is the replay's engine-choice record.
   if (!hit->engine.empty()) {
     out.engineChoiceJson = JsonObject()
                                .put("engine", hit->engine)
@@ -525,8 +464,6 @@ void recordEngineChoice(const ObligationDesc& d,
 
 /// Fold one finished attempt into the outcome: record, accumulated
 /// seconds, rule, metric observations, and the "attempt" trace event.
-/// Shared by the sequential attempt loop and the race path (where the
-/// winner is folded last so attempts.back() names the deciding engine).
 void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
                  int attemptNo, ObligationOutcome& out, RunTrace& trace,
                  const ObligationInstruments* ins) {
@@ -560,29 +497,6 @@ void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
   }
 }
 
-/// When the requested Bes lane declined the obligation, record the
-/// fallback once — in the trace and, when Auto/snapshot resolution has not
-/// already claimed it, as the outcome's engine-choice record.
-void recordBesFallback(const ObligationDesc& d, const AttemptOutput& a,
-                       ObligationOutcome& out, RunTrace& trace) {
-  if (a.besFallback.empty()) return;
-  if (out.engineChoiceJson.empty()) {
-    out.engineChoiceJson = JsonObject()
-                               .put("engine", laneName(a.lane))
-                               .put("reason", "bes declined: " + a.besFallback)
-                               .str();
-  }
-  if (trace.enabled()) {
-    trace.emit(JsonObject()
-                   .put("event", "bes_fallback")
-                   .putDouble("t", trace.elapsedSeconds())
-                   .put("job", d.jobName)
-                   .put("obligation", d.id)
-                   .put("engine", laneName(a.lane))
-                   .put("reason", a.besFallback));
-  }
-}
-
 /// Memoize a decided verdict; budget verdicts and errors are never
 /// inserted (they say nothing about ⊨_r and must be re-attempted).
 void cacheDecided(const ObligationDesc& d, const AttemptOutput& a,
@@ -601,154 +515,6 @@ void cacheDecided(const ObligationDesc& d, const AttemptOutput& a,
   if (cache->insert(d.fingerprint, entry)) out.cacheInserted = true;
 }
 
-/// Both race lanes for one obligation.  The BES lane runs on a spawned
-/// thread, the symbolic lane inline on the worker; the first lane to reach
-/// a *sound* verdict (Holds/Fails) CASes itself in as the winner and
-/// raises the loser's race-cancel flag.  Budget verdicts and errors never
-/// win — and never cancel the other lane, which may still decide.
-struct RaceOutcome {
-  AttemptOutput bes;
-  AttemptOutput sym;
-  int winner = -1;  ///< 0 = bes, 1 = symbolic, -1 = neither decided
-};
-
-RaceOutcome runRace(const ObligationDesc& d, std::optional<Lane> symLane,
-                    bool useSnapshot, const CancelFlags& cancel) {
-  RaceOutcome race;
-  std::atomic<bool> cancelBes{false};
-  std::atomic<bool> cancelSym{false};
-  std::atomic<int> winner{-1};
-  CancelFlags besFlags = cancel;
-  besFlags.race = &cancelBes;
-  CancelFlags symFlags = cancel;
-  symFlags.race = &cancelSym;
-  const auto finish = [&winner](int laneId, const AttemptOutput& a,
-                                std::atomic<bool>& loserFlag) {
-    if (!a.decided) return;
-    int expected = -1;
-    if (winner.compare_exchange_strong(expected, laneId,
-                                       std::memory_order_acq_rel)) {
-      loserFlag.store(true, std::memory_order_relaxed);
-    }
-  };
-  std::thread besThread([&] {
-    // Deterministic race tests wedge one lane here; the sites are plain
-    // registry lookups, armed (or off) in every build.
-    util::Failpoint::site("race.bes_delay").evaluate();
-    race.bes = runAttempt(d, Lane::Bes, useSnapshot, besFlags);
-    finish(0, race.bes, cancelSym);
-  });
-  try {
-    util::Failpoint::site("race.symbolic_delay").evaluate();
-    race.sym = runAttempt(d, symLane, useSnapshot, symFlags);
-  } catch (...) {
-    besThread.join();
-    throw;
-  }
-  finish(1, race.sym, cancelBes);
-  besThread.join();
-  race.winner = winner.load(std::memory_order_acquire);
-  return race;
-}
-
-/// --engine race for a non-composed obligation: both lanes run for the
-/// same obligation under the job's budget; the first sound verdict wins,
-/// the loser is cancelled (Verdict::Cancelled via the race flag — never
-/// quarantined), and the winner is the outcome and the cache entry.
-void runRaceAttempts(const ObligationDesc& d, ObligationOutcome& out,
-                     RunTrace& trace, ObligationCache* cache,
-                     const CancelFlags& cancel,
-                     const ObligationInstruments* ins) {
-  // Symbolic lane: the snapshot's probed choice when there is one,
-  // otherwise the lane resolves worker-side inside the attempt.
-  std::optional<Lane> symLane;
-  if (d.snapshot != nullptr) {
-    const symbolic::EngineChoice& c =
-        d.snapshot->moduleChoice.at(d.moduleIndex);
-    symLane = c.usePartitioned ? Lane::Partitioned : Lane::Monolithic;
-  }
-  bool quarantined = false;
-  int attemptNo = 0;
-  while (true) {
-    const RaceOutcome race = runRace(d, symLane, !quarantined, cancel);
-    if (race.winner >= 0) {
-      const AttemptOutput& w = race.winner == 0 ? race.bes : race.sym;
-      const AttemptOutput& l = race.winner == 0 ? race.sym : race.bes;
-      noteAttempt(d, l, ++attemptNo, out, trace, ins);
-      noteAttempt(d, w, ++attemptNo, out, trace, ins);
-      out.verdict = w.record.verdict;
-      out.counterexample = w.counterexample;
-      out.proofJson = w.proofJson;
-      out.engineChoiceJson =
-          JsonObject()
-              .put("engine", w.record.engine)
-              .putBool("raced", true)
-              .put("winner", w.record.engine)
-              .put("loser", l.record.engine)
-              .put("loser_verdict", toString(l.record.verdict))
-              .put("reason", "race: first sound verdict wins")
-              .str();
-      if (trace.enabled()) {
-        trace.emit(JsonObject()
-                       .put("event", "race_decided")
-                       .putDouble("t", trace.elapsedSeconds())
-                       .put("job", d.jobName)
-                       .put("obligation", d.id)
-                       .put("winner", w.record.engine)
-                       .put("loser", l.record.engine)
-                       .put("loser_verdict", toString(l.record.verdict))
-                       .putDouble("winner_seconds", w.record.seconds)
-                       .putDouble("loser_seconds", l.record.seconds));
-      }
-      recordBesFallback(d, race.bes, out, trace);
-      cacheDecided(d, w, out, cache);
-      return;
-    }
-    noteAttempt(d, race.bes, ++attemptNo, out, trace, ins);
-    noteAttempt(d, race.sym, ++attemptNo, out, trace, ins);
-    recordBesFallback(d, race.bes, out, trace);
-    // The race flag is only raised by a winner, so with no winner a
-    // Cancelled lane was cancelled externally: the run is winding down.
-    if (race.bes.record.verdict == Verdict::Cancelled ||
-        race.sym.record.verdict == Verdict::Cancelled) {
-      out.verdict = Verdict::Cancelled;
-      return;
-    }
-    const bool besErr = race.bes.record.verdict == Verdict::Error;
-    const bool symErr = race.sym.record.verdict == Verdict::Error;
-    if (besErr && symErr) {
-      // Both lanes threw: quarantine once — rerun the race rebuilt from
-      // scratch (fresh Contexts, no snapshot import) — then give up.
-      if (!quarantined) {
-        quarantined = true;
-        if (trace.enabled()) {
-          trace.emit(JsonObject()
-                         .put("event", "quarantine")
-                         .putDouble("t", trace.elapsedSeconds())
-                         .put("job", d.jobName)
-                         .put("obligation", d.id)
-                         .put("engine", "race")
-                         .put("error", race.sym.error));
-        }
-        continue;
-      }
-      out.verdict = Verdict::Error;
-      out.error = race.sym.error.empty() ? race.bes.error : race.sym.error;
-      return;
-    }
-    if (besErr || symErr) {
-      // One lane threw, the other ran out of budget: the budget verdict
-      // is the honest summary (the error lane proved nothing either way).
-      out.verdict = besErr ? race.sym.record.verdict
-                           : race.bes.record.verdict;
-      return;
-    }
-    // Both lanes exhausted their budget.
-    out.verdict = Verdict::Inconclusive;
-    return;
-  }
-}
-
 /// The attempt loop: engine degradation on budget exhaustion, quarantine
 /// on an unexpected exception (one retry rebuilt from scratch, then Error).
 void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
@@ -756,17 +522,14 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
                  const CancelFlags& cancel,
                  const ObligationInstruments* ins) {
   const JobOptions& jopts = d.job->options;
-  // First-attempt lane: fixed modes (including Bes) are forced outright;
-  // Auto — and Race on the composed obligations the race path routes here —
-  // resolves from the snapshot's probed choice when there is one, otherwise
-  // the first attempt resolves it worker-side.
+  // First-attempt lane: fixed modes are forced outright; Auto resolves
+  // from the snapshot's probed choice when there is one, otherwise the
+  // first attempt resolves it worker-side.
   std::optional<Lane> lane;
   if (jopts.engine == symbolic::EngineMode::Partitioned) {
     lane = Lane::Partitioned;
   } else if (jopts.engine == symbolic::EngineMode::Monolithic) {
     lane = Lane::Monolithic;
-  } else if (jopts.engine == symbolic::EngineMode::Bes) {
-    lane = Lane::Bes;
   } else if (d.snapshot != nullptr) {
     const symbolic::EngineChoice& c =
         d.composed ? d.snapshot->composedChoice
@@ -788,7 +551,6 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
       lane = a.lane;
       recordEngineChoice(d, a.choice, out, trace);
     }
-    recordBesFallback(d, a, out, trace);
     noteAttempt(d, a, attemptNo, out, trace, ins);
     if (a.record.verdict == Verdict::Error) {
       // Quarantine: one more try rebuilt from scratch (fresh Context, no
@@ -880,17 +642,6 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
   // The whole decision path is guarded: whatever a poisoned obligation
   // throws (including from the dispatch failpoint below), its siblings on
   // the pool are untouched and the batch completes.
-  // Race applies per obligation and only where both lanes can actually
-  // differ: a composed obligation's BES lane would immediately fall back
-  // to partitioned, so Race routes composed work through the normal loop
-  // (where it resolves like Auto from the snapshot's probed choice).
-  const auto attempt = [&] {
-    if (d.job->options.engine == symbolic::EngineMode::Race && !d.composed) {
-      runRaceAttempts(d, out, trace, cache, cancel, ins);
-    } else {
-      runAttempts(d, out, trace, cache, cancel, ins);
-    }
-  };
 
   try {
     CMC_FAILPOINT("scheduler.dispatch");
@@ -900,7 +651,7 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
       out.verdict = Verdict::Cancelled;
     } else if (!serveFromJournal(d, replay, out, trace) &&
                !serveFromCache(d, cache, out, trace)) {
-      attempt();
+      runAttempts(d, out, trace, cache, cancel, ins);
     } else if (out.verdict == Verdict::Fails &&
                out.counterexample.empty()) {
       // A replayed Fails stored no counterexample (trace search is
@@ -924,7 +675,7 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
         fresh.specText = d.specText;
         fresh.fingerprint = d.fingerprint;
         out = std::move(fresh);
-        attempt();
+        runAttempts(d, out, trace, cache, cancel, ins);
       } else if (trace.enabled()) {
         trace.emit(JsonObject()
                        .put("event", "trace_unavailable")

@@ -36,14 +36,11 @@ namespace cmc::symbolic {
 
 /// Engine selection policy carried by job options and the CLI's --engine
 /// flag.  Auto resolves partitioned-vs-monolithic per obligation through
-/// chooseEngine; Bes forces the explicit-state BES backend (src/bes/);
-/// Race runs the BES and symbolic engines concurrently per obligation and
-/// takes the first sound verdict.
-enum class EngineMode { Auto, Partitioned, Monolithic, Bes, Race };
+/// chooseEngine; Partitioned and Monolithic force one engine.
+enum class EngineMode { Auto, Partitioned, Monolithic };
 
 const char* toString(EngineMode m) noexcept;
-/// Parse "auto" | "partitioned" | "monolithic" | "bes" | "race"; false on
-/// anything else.
+/// Parse "auto" | "partitioned" | "monolithic"; false on anything else.
 bool engineModeFromString(std::string_view text, EngineMode* out) noexcept;
 
 /// One resolved engine decision plus the inputs that drove it — recorded

@@ -1,4 +1,4 @@
-// Fixed-size thread pool used by comp::ParallelVerifier to discharge
+// Fixed-size thread pool used by service::VerificationService to discharge
 // independent per-component proof obligations concurrently.  This is the
 // mechanism behind the paper's "linear behavior in terms of the number of
 // components" (§5): obligations never share state, so they scale with cores.

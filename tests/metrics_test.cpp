@@ -46,21 +46,32 @@ TEST(Metrics, ReferencesAreStableAcrossCreation) {
   EXPECT_EQ(reg.counterValue("anchor"), 1u);
 }
 
+/// Index of the bucket whose upper bound is exactly `bound`.
+std::size_t bucketIndex(double bound) {
+  const std::vector<double>& bounds = LatencyHistogram::bucketBounds();
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    if (bounds[i] == bound) return i;
+  }
+  ADD_FAILURE() << "no bucket bound " << bound;
+  return bounds.size();
+}
+
 TEST(Metrics, HistogramBucketsObservations) {
   LatencyHistogram h;
-  h.observe(0.0004);  // le 0.001
+  h.observe(0.0004);  // le 0.0005
   h.observe(0.004);   // le 0.005
   h.observe(0.7);     // le 1.0
   h.observe(120.0);   // +Inf overflow
-  h.observe(-1.0);    // clamps to 0 -> le 0.001
+  h.observe(-1.0);    // clamps to 0 -> the first bucket
   const LatencyHistogram::Snapshot s = h.snapshot();
   const std::vector<double>& bounds = LatencyHistogram::bucketBounds();
   ASSERT_EQ(s.counts.size(), bounds.size() + 1);  // finite + overflow
   EXPECT_EQ(s.count, 5u);
-  EXPECT_EQ(s.counts[0], 2u);             // 0.0004 and the clamped -1
-  EXPECT_EQ(s.counts[2], 1u);             // 0.004 in (0.0025, 0.005]
-  EXPECT_EQ(s.counts[9], 1u);             // 0.7 in (0.5, 1.0]
-  EXPECT_EQ(s.counts.back(), 1u);         // 120 s overflows the ladder
+  EXPECT_EQ(s.counts[0], 1u);                     // the clamped -1
+  EXPECT_EQ(s.counts[bucketIndex(0.0005)], 1u);   // 0.0004
+  EXPECT_EQ(s.counts[bucketIndex(0.005)], 1u);    // 0.004
+  EXPECT_EQ(s.counts[bucketIndex(1.0)], 1u);      // 0.7
+  EXPECT_EQ(s.counts.back(), 1u);  // 120 s overflows the ladder
   EXPECT_NEAR(s.sumSeconds, 0.0004 + 0.004 + 0.7 + 120.0, 1e-3);
 
   // The invariant every snapshot must satisfy: bucket counts partition the
@@ -68,6 +79,27 @@ TEST(Metrics, HistogramBucketsObservations) {
   std::uint64_t total = 0;
   for (std::uint64_t c : s.counts) total += c;
   EXPECT_EQ(total, s.count);
+}
+
+TEST(Metrics, SubMillisecondObservationLandsBelowTheMillisecondBucket) {
+  // A 30 us component obligation must not be lumped in with everything
+  // else under 1 ms.
+  LatencyHistogram h;
+  h.observe(0.00003);
+  const LatencyHistogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.counts[bucketIndex(0.00005)], 1u);  // (25 us, 50 us]
+  EXPECT_EQ(s.counts[bucketIndex(0.001)], 0u);
+  std::uint64_t total = 0;
+  for (std::uint64_t c : s.counts) total += c;
+  EXPECT_EQ(total, s.count);
+  EXPECT_LT(s.quantile(0.5), 0.001);
+
+  MetricsRegistry reg;
+  reg.histogram("lat").observe(0.00003);
+  const std::string text = reg.toText();
+  EXPECT_NE(text.find("lat_bucket{le=\"5e-05\"} 1\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"2.5e-05\"} 0\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 1\n"), std::string::npos);
 }
 
 TEST(Metrics, ConcurrentObserversLoseNothing) {
@@ -92,8 +124,10 @@ TEST(Metrics, ConcurrentObserversLoseNothing) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
   const LatencyHistogram::Snapshot s = h.snapshot();
   EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(s.counts[1], static_cast<std::uint64_t>(2 * kPerThread));
-  EXPECT_EQ(s.counts[10], static_cast<std::uint64_t>(2 * kPerThread));
+  EXPECT_EQ(s.counts[bucketIndex(0.0025)],
+            static_cast<std::uint64_t>(2 * kPerThread));
+  EXPECT_EQ(s.counts[bucketIndex(2.5)],
+            static_cast<std::uint64_t>(2 * kPerThread));
 }
 
 TEST(Metrics, JsonRenderingIsConsistent) {
@@ -107,7 +141,7 @@ TEST(Metrics, JsonRenderingIsConsistent) {
   EXPECT_NE(json.find("\"in_flight\": -2"), std::string::npos);
   EXPECT_NE(json.find("\"request_seconds\": {\"count\": 2"),
             std::string::npos);
-  EXPECT_NE(json.find("\"bounds\": [0.001, "), std::string::npos);
+  EXPECT_NE(json.find("\"bounds\": [1e-05, "), std::string::npos);
 }
 
 TEST(Metrics, TextRenderingCumulativeBuckets) {

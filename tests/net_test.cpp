@@ -204,9 +204,10 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
 }
 
 TEST(NetProtocol, ParsesRev3ClusterAdminCommands) {
-  // The admin commands arrived with protocol revision 3; the gate test in
-  // cluster_test.cpp proves older revisions are refused outright.
-  EXPECT_EQ(kProtocolRevision, 3u);
+  // The admin commands arrived with protocol revision 3 (rev 4 removed the
+  // "bes"/"race" engine values); the gate test in cluster_test.cpp proves
+  // other revisions are refused outright.
+  EXPECT_EQ(kProtocolRevision, 4u);
   const service::JobOptions defaults;
   Request req;
   std::string err;
@@ -319,6 +320,34 @@ TEST(NetServer, MalformedRequestsGetBadRequestAndConnectionSurvives) {
   EXPECT_NE(resp.find("\"state\": \"serving\""), std::string::npos);
   EXPECT_NE(resp.find(util::versionString()), std::string::npos);
   EXPECT_EQ(h.metrics.counterValue("protocol_errors"), 2u);
+}
+
+TEST(NetServer, RemovedEngineValuesGetBadRequest) {
+  Harness h;
+  Client c = h.connect();
+  std::string resp, err;
+  for (const char* engine : {"bes", "race"}) {
+    ASSERT_TRUE(c.request(checkRequest("r1", kChainSmv,
+                                       std::string("\"engine\": \"") +
+                                           engine + "\""),
+                          &resp, &err))
+        << err;
+    EXPECT_NE(resp.find("\"ok\": false"), std::string::npos) << engine;
+    EXPECT_NE(resp.find(kBadRequest), std::string::npos) << engine;
+    EXPECT_NE(resp.find("'auto', 'partitioned', or 'monolithic'"),
+              std::string::npos)
+        << resp;
+  }
+  EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 0u);
+  // STATUS and STATS stamp the revision that made these values an error.
+  for (const char* cmd : {"STATUS", "STATS"}) {
+    ASSERT_TRUE(c.request(std::string("{\"cmd\": \"") + cmd + "\"}", &resp,
+                          &err))
+        << err;
+    std::uint64_t rev = 0;
+    EXPECT_TRUE(service::jsonExtractUint(resp, "protocol_rev", &rev)) << cmd;
+    EXPECT_EQ(rev, 4u) << cmd;
+  }
 }
 
 TEST(NetServer, OversizedLineIsRejectedAndConnectionClosed) {

@@ -1,17 +1,21 @@
 // Tests for the verification service layer: job expansion, resource
 // budgets (deadline and node budget), the engine degradation/retry policy,
-// worker quarantine, cooperative cancellation, journal integration, and
-// the structured run trace / report.
+// worker quarantine, cooperative cancellation, journal integration,
+// counterexample text and replayed-Fails trace semantics, and the
+// structured run trace / report.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "afs/smv_sources.hpp"
 #include "service/budget.hpp"
 #include "service/scheduler.hpp"
+#include "service/snapshot.hpp"
 
 namespace cmc::service {
 namespace {
@@ -434,6 +438,130 @@ TEST(ServiceJournal, UndecidedJournalEntriesAreReRun) {
   ASSERT_EQ(report.obligations.size(), 1u);
   EXPECT_EQ(report.obligations.front().verdictSource, "checked");
   fs::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// Counterexamples: the text form, and replayed Fails that stored none
+// ---------------------------------------------------------------------------
+
+const char* kFailingSmv = R"(
+MODULE stuck
+VAR s : {a, b};
+ASSIGN next(s) := b;
+SPEC AG (s = a)
+)";
+
+/// Specs whose failures have no lasso/path trace, so the scheduler falls
+/// back to the single violating-state witness.
+const char* kWitnessSmv = R"(
+MODULE stuck
+VAR a : boolean; b : boolean;
+ASSIGN next(a) := 0; next(b) := 0;
+SPEC EF (b & a)
+SPEC EX a
+)";
+
+TEST(ServiceCounterexample, EveryFailsCounterexampleEndsInANewline) {
+  std::size_t witnesses = 0;
+  for (const char* smv : {kFailingSmv, kWitnessSmv}) {
+    VerificationJob job;
+    job.name = "stuck";
+    job.smvText = smv;
+    VerificationService svc(withThreads(1));
+    const JobReport report = svc.run(job);
+    for (const ObligationOutcome& o : report.obligations) {
+      ASSERT_EQ(o.verdict, Verdict::Fails) << o.id;
+      if (o.counterexample.empty()) continue;
+      EXPECT_EQ(o.counterexample.back(), '\n') << o.id;
+      if (o.counterexample.rfind("violating state: ", 0) == 0) ++witnesses;
+    }
+  }
+  // The witness form (the one that used to lack the newline) is exercised.
+  EXPECT_GT(witnesses, 0u);
+}
+
+/// Seed `dir` with a decided Fails for kFailingSmv's one obligation whose
+/// counterexample was not stored (an old-format or trimmed cache entry).
+void seedCounterexampleFreeFails(const std::filesystem::path& dir,
+                                 const JobOptions& options) {
+  VerificationJob job;
+  job.name = "stuck";
+  job.smvText = kFailingSmv;
+  job.options = options;
+  const SnapshotResult snap = buildSnapshot(job, /*wantCanon=*/true);
+  ASSERT_TRUE(snap.snapshot) << snap.error;
+  const std::vector<ObligationRef> refs =
+      enumerateObligations(*snap.snapshot, job.options);
+  ASSERT_EQ(refs.size(), 1u);
+  ASSERT_FALSE(refs.front().fingerprint.empty());
+
+  ObligationCache::Options copts;
+  copts.dir = dir.string();
+  ObligationCache cache(copts);
+  CachedVerdict v;
+  v.verdict = Verdict::Fails;
+  v.rule = "direct";
+  v.engine = "partitioned";
+  EXPECT_TRUE(cache.insert(refs.front().fingerprint, v));
+}
+
+// A replayed Fails without a stored counterexample must be announced in
+// the trace instead of silently looking uninvestigable...
+TEST(ServiceReplay, CacheServedFailsWithoutCounterexampleIsAnnounced) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "cmc_trace_unavailable";
+  fs::remove_all(dir);
+  VerificationJob job;
+  job.name = "stuck";
+  job.smvText = kFailingSmv;
+  seedCounterexampleFreeFails(dir, job.options);
+
+  ServiceOptions so = withThreads(1);
+  so.cacheDir = dir.string();
+  VerificationService svc(so);
+  RunTrace trace;
+  const JobReport report = svc.run(job, &trace);
+  ASSERT_EQ(report.obligations.size(), 1u);
+  const ObligationOutcome& o = report.obligations.front();
+  // The verdict is served as stored — but the trace says the
+  // counterexample is not reconstructible from the replay.
+  EXPECT_EQ(o.verdict, Verdict::Fails);
+  EXPECT_EQ(o.verdictSource, "cache");
+  EXPECT_TRUE(o.counterexample.empty());
+  EXPECT_EQ(trace.countContaining("\"event\": \"trace_unavailable\""), 1u);
+  EXPECT_EQ(trace.countContaining("\"event\": \"trace_forced_recheck\""),
+            0u);
+  fs::remove_all(dir);
+}
+
+// ...and --trace-force re-checks it to regenerate the trace.
+TEST(ServiceReplay, TraceForceRechecksACounterexampleFreeReplay) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "cmc_trace_force";
+  fs::remove_all(dir);
+  VerificationJob job;
+  job.name = "stuck";
+  job.smvText = kFailingSmv;
+  // traceForce must not change the fingerprint — the seeded entry is
+  // written without it and must still be the one the forced run hits.
+  seedCounterexampleFreeFails(dir, job.options);
+  job.options.traceForce = true;
+
+  ServiceOptions so = withThreads(1);
+  so.cacheDir = dir.string();
+  VerificationService svc(so);
+  RunTrace trace;
+  const JobReport report = svc.run(job, &trace);
+  ASSERT_EQ(report.obligations.size(), 1u);
+  const ObligationOutcome& o = report.obligations.front();
+  // Re-checked on demand: same verdict, fresh counterexample.
+  EXPECT_EQ(o.verdict, Verdict::Fails);
+  EXPECT_EQ(o.verdictSource, "checked");
+  EXPECT_FALSE(o.counterexample.empty());
+  EXPECT_FALSE(o.attempts.empty());
+  EXPECT_EQ(trace.countContaining("\"event\": \"trace_forced_recheck\""),
+            1u);
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
