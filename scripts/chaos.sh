@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Chaos harness for the failpoint framework and the crash-safe run journal.
+# Chaos harness for the failpoint framework and for kill-and-resume on the
+# obligation cache's crash-safe disk store (--cache-dir).
 #
 #   scripts/chaos.sh [path/to/cmc]
 #
@@ -10,8 +11,8 @@
 #  1. Sweep: every registered failpoint site is armed with `error` and with
 #     `1in(3)`.  Each run must terminate, produce a report, and never flip
 #     a verdict to Fails.  What else we can demand depends on the site:
-#       - durability/telemetry sites (cache.*, trace.write, journal.*)
-#         degrade: all 12 obligations still Hold and the run exits 0;
+#       - durability/telemetry sites (cache.*, trace.write) degrade: all
+#         12 obligations still Hold and the run exits 0;
 #       - scheduler sites fail per obligation: all 12 are reported, each
 #         either Holds or the injected Error;
 #       - deep sites (bdd.alloc_node, smv.elaborate) can take out the
@@ -20,19 +21,20 @@
 #         termination guarantees apply.
 #
 #  2. Kill-and-resume: a run wedged at the scheduler.dispatch delay
-#     failpoint is SIGKILLed mid-batch; the journal must already hold
-#     decided verdicts, and `cmc check --resume` must serve them
-#     (verdict_source "journal") and finish with a report identical,
-#     verdict for verdict, to a clean run's.
+#     failpoint is SIGKILLed mid-batch; its --cache-dir store must already
+#     hold some but not all decided verdicts, and running the same command
+#     again on that directory must serve exactly those (verdict_source
+#     "cache") and finish with a report identical, verdict for verdict, to
+#     a clean run's.
 #
 #  3. Server kill-and-resume: the same crash, but of the daemon.  A
 #     `cmc serve` slowed by the dispatch delay is SIGKILLed mid-CHECK
 #     (the submitting client sees the connection drop); a fresh daemon on
-#     the SAME socket path, journal, and cache dir must come up (stale
-#     socket handling), and resubmitting the model must yield a report
-#     identical, verdict for verdict, to the clean run's — with the
-#     already-decided obligations served from the journal/cache, never
-#     re-checked from scratch.  Then SIGTERM must drain it with exit 0.
+#     the SAME socket path and cache dir must come up (stale socket
+#     handling), and resubmitting the model must yield a report identical,
+#     verdict for verdict, to the clean run's — with the already-decided
+#     obligations served from the store, never re-checked from scratch.
+#     Then SIGTERM must drain it with exit 0.
 #
 #  4. Cluster shard loss: a coordinator fronts three dispatch-delayed
 #     shards; one shard is SIGKILLed mid-batch while its obligations are
@@ -74,7 +76,6 @@ verdicts() {
 run_cmc() { # name, cache args..., then extra cmc args
   local name=$1; shift
   timeout 180 "$CMC" check $COMMON \
-    --journal "$WORK/$name.journal.jsonl" \
     --report "$WORK/$name.json" \
     --trace "$WORK/$name.trace.jsonl" \
     "$@" "$MODEL" > "$WORK/$name.log" 2>&1
@@ -92,6 +93,10 @@ TOTAL=$(wc -l < "$WORK/clean.verdicts")
 [ "$(awk '$2 != "Holds"' "$WORK/clean.verdicts" | wc -l)" -eq 0 ] \
   || fail "clean run is not all-Holds"
 [ -s "$WORK/warm.cache/obligations.jsonl" ] || fail "baseline left no cache store"
+# One store entry per obligation: the resume phases count entries against
+# obligations served.
+entries=$(grep -c '"fp": ' "$WORK/warm.cache/obligations.jsonl")
+[ "$entries" -eq "$TOTAL" ] || fail "expected $TOTAL store entries, got $entries"
 note "baseline: $TOTAL obligations, all hold"
 
 # ---------------------------------------------------------------------------
@@ -110,10 +115,6 @@ for site in $SITES; do
         # for later iterations, but keep runs independent anyway.
         cp -r "$WORK/warm.cache" "$WORK/$name.cache"
         set -- --cache-dir "$WORK/$name.cache" ;;
-      journal.load)
-        # Only fires on --resume: replay a copy of the baseline journal.
-        cp "$WORK/clean.journal.jsonl" "$WORK/$name.journal.jsonl"
-        set -- --no-cache --resume ;;
       *)
         set -- --cache-dir "$WORK/$name.cache" ;;
     esac
@@ -130,7 +131,7 @@ for site in $SITES; do
     bad=$(awk '$2 != "Holds" && $2 != "Error"' "$WORK/$name.verdicts")
     [ -z "$bad" ] || fail "$site=$action: unexpected verdicts: $bad"
     case $site in
-      cache.*|trace.*|journal.*)
+      cache.*|trace.*)
         # Durability/telemetry sites degrade; verdicts must be untouched.
         [ "$n" -eq "$TOTAL" ] \
           || fail "$site=$action: $n of $TOTAL obligations reported"
@@ -150,10 +151,13 @@ for site in $SITES; do
 done
 
 # ---------------------------------------------------------------------------
-# Phase 2: SIGKILL mid-batch, then --resume
+# Phase 2: SIGKILL mid-batch, then re-run on the same --cache-dir
 # ---------------------------------------------------------------------------
-CMC_FAILPOINTS="scheduler.dispatch=delay(1000)" "$CMC" check $COMMON --no-cache \
-  --journal "$WORK/kr.journal.jsonl" --report "$WORK/kr.json" \
+# decided_in STORE: the number of decided entries a store holds.
+decided_in() { grep -c '"verdict": "Holds"' "$1/obligations.jsonl" || true; }
+
+CMC_FAILPOINTS="scheduler.dispatch=delay(1000)" "$CMC" check $COMMON \
+  --cache-dir "$WORK/kr.cache" --report "$WORK/kr.json" \
   --trace "$WORK/kr.trace.jsonl" "$MODEL" > "$WORK/kr.log" 2>&1 &
 pid=$!
 sleep 3
@@ -161,20 +165,21 @@ kill -9 "$pid" 2>/dev/null || fail "run finished before the SIGKILL (delay too s
 wait "$pid" 2>/dev/null
 note "SIGKILLed pid $pid mid-batch"
 
-[ -s "$WORK/kr.journal.jsonl" ] || fail "no journal survived the SIGKILL"
-decided=$(grep -c '"verdict": "Holds"' "$WORK/kr.journal.jsonl" || true)
-[ "$decided" -gt 0 ] || fail "journal holds no decided verdicts"
+[ -s "$WORK/kr.cache/obligations.jsonl" ] || fail "no cache store survived the SIGKILL"
+decided=$(decided_in "$WORK/kr.cache")
+[ "$decided" -gt 0 ] || fail "the store holds no decided verdicts"
 [ "$decided" -lt "$TOTAL" ] || fail "all obligations decided before the kill"
-note "journal survived with $decided/$TOTAL decided verdicts"
+note "store survived with $decided/$TOTAL decided verdicts"
 
-run_cmc resume --no-cache --resume --journal "$WORK/kr.journal.jsonl" \
+run_cmc resume --cache-dir "$WORK/kr.cache" \
   || fail "resume run exited $? (log: $(cat "$WORK/resume.log"))"
-served=$(grep -o '"verdict_source": "journal"' "$WORK/resume.json" | wc -l)
-[ "$served" -gt 0 ] || fail "resume served nothing from the journal"
+served=$(grep -o '"verdict_source": "cache"' "$WORK/resume.json" | wc -l)
+[ "$served" -eq "$decided" ] \
+  || fail "resume served $served verdicts from the store, which held $decided"
 verdicts "$WORK/resume.json" > "$WORK/resume.verdicts"
 diff -u "$WORK/clean.verdicts" "$WORK/resume.verdicts" \
   || fail "resumed report differs from the clean run"
-note "resume served $served journaled verdicts; final report matches clean"
+note "resume served $served stored verdicts; final report matches clean"
 
 # ---------------------------------------------------------------------------
 # Phase 3: SIGKILL the daemon mid-CHECK, restart on the same state, resubmit
@@ -182,7 +187,7 @@ note "resume served $served journaled verdicts; final report matches clean"
 SOCK=$WORK/chaos.sock
 start_daemon() { # extra serve args...
   "$CMC" serve --socket "$SOCK" --compose --threads 2 \
-    --journal "$WORK/srv.journal.jsonl" --cache-dir "$WORK/srv.cache" \
+    --cache-dir "$WORK/srv.cache" \
     --trace "$WORK/srv.trace.jsonl" "$@" >> "$WORK/srv.log" 2>&1 &
   SRV=$!
   # A stale socket file from a SIGKILLed predecessor still exists, so poll
@@ -206,23 +211,23 @@ wait "$client" 2>/dev/null \
   && fail "client reported success although its daemon was SIGKILLed"
 note "SIGKILLed daemon pid $SRV mid-CHECK"
 
-[ -s "$WORK/srv.journal.jsonl" ] || fail "no server journal survived the SIGKILL"
-decided=$(grep -c '"verdict": "Holds"' "$WORK/srv.journal.jsonl" || true)
-[ "$decided" -gt 0 ] || fail "server journal holds no decided verdicts"
+[ -s "$WORK/srv.cache/obligations.jsonl" ] || fail "no server store survived the SIGKILL"
+decided=$(decided_in "$WORK/srv.cache")
+[ "$decided" -gt 0 ] || fail "the server store holds no decided verdicts"
 [ "$decided" -lt "$TOTAL" ] || fail "all obligations decided before the kill"
-note "server journal survived with $decided/$TOTAL decided verdicts"
+note "server store survived with $decided/$TOTAL decided verdicts"
 
-# Restart on the same socket (now stale), journal, and cache; no failpoint.
-start_daemon --resume
+# Restart on the same socket (now stale) and cache dir; no failpoint.
+start_daemon
 "$CMC" submit --socket "$SOCK" --id retry --report "$WORK/srv-retry.json" \
   "$MODEL" > "$WORK/srv-retry.log" 2>&1 \
   || fail "resubmission failed: $(cat "$WORK/srv-retry.log")"
 verdicts "$WORK/srv-retry.json" > "$WORK/srv-retry.verdicts"
 diff -u "$WORK/clean.verdicts" "$WORK/srv-retry.verdicts" \
   || fail "post-restart report differs from the clean run"
-replayed=$(grep -o '"verdict_source": "\(journal\|cache\)"' "$WORK/srv-retry.json" | wc -l)
-[ "$replayed" -ge "$decided" ] \
-  || fail "only $replayed of $decided decided obligations were replayed"
+replayed=$(grep -o '"verdict_source": "cache"' "$WORK/srv-retry.json" | wc -l)
+[ "$replayed" -eq "$decided" ] \
+  || fail "$replayed verdicts served from the store, which held $decided"
 note "restarted daemon replayed $replayed verdicts; report matches clean"
 
 kill -TERM "$SRV"

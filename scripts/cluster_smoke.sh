@@ -150,7 +150,7 @@ note "compaction: stores rewritten, resubmission still all-cache"
   || fail "TOPOLOGY failed: $(cat "$WORK/topo.json")"
 [ "$(grep -o '"state": "up"' "$WORK/topo.json" | wc -l)" -eq 3 ] \
   || fail "TOPOLOGY does not list 3 up shards: $(cat "$WORK/topo.json")"
-grep -q '"protocol_rev": 4' "$WORK/topo.json" || fail "TOPOLOGY lacks protocol_rev 4"
+grep -q '"protocol_rev": 5' "$WORK/topo.json" || fail "TOPOLOGY lacks protocol_rev 5"
 grep -q '"replication": ' "$WORK/topo.json" || fail "TOPOLOGY lacks the replication factor"
 grep -q '"probation_required": ' "$WORK/topo.json" || fail "TOPOLOGY lacks lifecycle detail"
 

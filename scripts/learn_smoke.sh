@@ -48,7 +48,7 @@ EOF
 
 # --- 1. cold learned run -----------------------------------------------------
 
-"$CMC" learn "$MODEL" --cache-dir "$WORK/cache" --no-journal \
+"$CMC" learn "$MODEL" --cache-dir "$WORK/cache" \
   --report "$WORK/learn.json" --quiet >"$WORK/learn.out" 2>&1 \
   || fail "cmc learn exited $? ($(cat "$WORK/learn.out"))"
 grep -q '"verdict": "Holds"' "$WORK/learn.json" || fail "learned run not Holds"
@@ -60,7 +60,7 @@ note "cold learn: Holds, learned obligations present"
 
 # --- 2. direct cross-validation ---------------------------------------------
 
-"$CMC" check --compose "$MODEL" --no-cache --no-journal \
+"$CMC" check --compose "$MODEL" --no-cache \
   --report "$WORK/direct.json" --quiet >/dev/null 2>&1 \
   || fail "direct check exited $?"
 composed_verdicts "$WORK/learn.json" >"$WORK/learn.verdicts"
@@ -72,7 +72,7 @@ note "learned verdicts match the direct check ($(wc -l <"$WORK/learn.verdicts") 
 
 # --- 3. warm rerun: all cache -----------------------------------------------
 
-"$CMC" learn "$MODEL" --cache-dir "$WORK/cache" --no-journal \
+"$CMC" learn "$MODEL" --cache-dir "$WORK/cache" \
   --report "$WORK/warm.json" --quiet >/dev/null 2>&1 \
   || fail "warm learn exited $?"
 grep -q '"misses": 0' "$WORK/warm.json" \
@@ -92,10 +92,10 @@ for spec in ring_3 afs2_3; do
 done
 note "goldens regenerate byte-identically"
 
-"$CMC" learn "$WORK/ring_3.smv" --no-cache --no-journal \
+"$CMC" learn "$WORK/ring_3.smv" --no-cache \
   --report "$WORK/ring-learn.json" --quiet >/dev/null 2>&1 \
   || fail "learn on ring_3 exited $?"
-"$CMC" check --compose "$WORK/ring_3.smv" --no-cache --no-journal \
+"$CMC" check --compose "$WORK/ring_3.smv" --no-cache \
   --report "$WORK/ring-direct.json" --quiet >/dev/null 2>&1 \
   || fail "direct check on ring_3 exited $?"
 composed_verdicts "$WORK/ring-learn.json" >"$WORK/ring-learn.verdicts"

@@ -5,8 +5,8 @@
 #   scripts/server_smoke.sh [path/to/cmc]
 #
 # Sequence (all against a throwaway work dir):
-#   1. `cmc serve` on a Unix-domain socket with a cache dir, journal, and
-#      trace; wait for the socket to appear.
+#   1. `cmc serve` on a Unix-domain socket with a cache dir and trace;
+#      wait for the socket to appear.
 #   2. Submit AFS-1 and composed AFS-2 concurrently; both must report
 #      Holds (AFS-1: 6 obligations, AFS-2: 12).
 #   3. Resubmit the identical composed AFS-2: every obligation must be
@@ -16,7 +16,8 @@
 #      request_seconds_count matches, the cumulative +Inf latency bucket
 #      equals the count, and nothing is left in flight.
 #   5. SIGTERM must drain: the daemon exits 0, reports the drain on
-#      stdout, and unlinks its socket.
+#      stdout, unlinks its socket, and leaves the decided verdicts in its
+#      cache-dir store.
 set -u
 
 CMC=${1:-build/tools/cmc}
@@ -42,8 +43,7 @@ metric() { awk -v n="$1" '$1 == n { print $2; found = 1 } END { if (!found) prin
 # 1. Start the daemon
 # ---------------------------------------------------------------------------
 "$CMC" serve --socket "$SOCK" --cache-dir "$WORK/cache" \
-  --journal "$WORK/journal.jsonl" --trace "$WORK/trace.jsonl" \
-  > "$WORK/serve.log" 2>&1 &
+  --trace "$WORK/trace.jsonl" > "$WORK/serve.log" 2>&1 &
 SRV=$!
 
 for _ in $(seq 100); do
@@ -118,7 +118,7 @@ SRV=
 [ "$rc" -eq 0 ] || fail "daemon exited $rc on SIGTERM: $(cat "$WORK/serve.log")"
 grep -q "drained" "$WORK/serve.log" || fail "no drain summary in the serve log"
 [ ! -S "$SOCK" ] || fail "socket not unlinked on shutdown"
-[ -s "$WORK/journal.jsonl" ] || fail "no journal written"
+[ -s "$WORK/cache/obligations.jsonl" ] || fail "no cache store written"
 note "SIGTERM drained cleanly (exit 0)"
 
 note "PASS"

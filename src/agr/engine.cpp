@@ -559,7 +559,6 @@ service::JobReport runLearnedJob(service::VerificationService& svc,
         out.cacheHits += fr.cacheHits;
         out.cacheMisses += fr.cacheMisses;
         out.cacheInserts += fr.cacheInserts;
-        out.journalHits += fr.journalHits;
         const auto it = std::find_if(
             fr.obligations.begin(), fr.obligations.end(),
             [&](const service::ObligationOutcome& ob) {

@@ -17,7 +17,7 @@
 #include <random>
 #include <sstream>
 
-#include "service/journal.hpp"
+#include "service/trace_log.hpp"
 #include "util/failpoint.hpp"
 #include "util/version.hpp"
 
@@ -923,8 +923,8 @@ void Coordinator::maybeReplicate(const Roster& roster,
       out.verdict != service::Verdict::Fails)
     return;
   // "checked" verdicts are the fresh decisions; replicating "cache" hits
-  // too lets a rebuilt replica heal from warm traffic.  Journal replays
-  // and errors stay local.
+  // too lets a rebuilt replica heal from warm traffic.  Learned verdicts
+  // stay local.
   if (out.verdictSource != "checked" && out.verdictSource != "cache") return;
   service::JsonObject put;
   put.put("cmd", "CACHE_PUT")
@@ -1104,8 +1104,7 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
       report.obligations.push_back(f.get());
       const service::ObligationOutcome& o = report.obligations.back();
       report.verdict = worseVerdict(report.verdict, o.verdict);
-      if (o.verdictSource == "journal") ++report.journalHits;
-      if (!o.fingerprint.empty() && o.verdictSource != "journal") {
+      if (!o.fingerprint.empty()) {
         if (o.verdictSource == "cache") ++report.cacheHits;
         else ++report.cacheMisses;
       }
@@ -1129,8 +1128,7 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
                   .put("verdict", service::toString(report.verdict))
                   .putDouble("wall_seconds", report.wallSeconds)
                   .putUint("obligations", report.obligations.size())
-                  .putUint("cache_hits", report.cacheHits)
-                  .putUint("journal_hits", report.journalHits));
+                  .putUint("cache_hits", report.cacheHits));
 
   service::JsonObject resp;
   resp.putBool("ok", true)
@@ -1143,7 +1141,6 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
       .putUint("fails", fails)
       .putUint("undecided", undecided)
       .putUint("cache_hits", report.cacheHits)
-      .putUint("journal_hits", report.journalHits)
       .putUint("shards_up", shardsUp())
       .putDouble("wall_seconds", report.wallSeconds)
       .put("report", report.toJson());

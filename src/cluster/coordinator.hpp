@@ -14,7 +14,7 @@
 //      ordinary single-obligation CHECK ({"only": "<id>", "smv": ...})
 //      with every verdict-relevant option made explicit, so the shard
 //      re-derives the identical fingerprint and serves it from its own
-//      cache/journal when warm.
+//      cache when warm.
 //   4. Gather: the flat single-obligation response fields are merged into
 //      one JobReport (worst-of verdict, per-shard attribution via
 //      ObligationOutcome::shard) that is indistinguishable from a local

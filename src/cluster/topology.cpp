@@ -5,7 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "service/journal.hpp"
+#include "service/trace_log.hpp"
 #include "util/hash.hpp"
 
 namespace cmc::cluster {

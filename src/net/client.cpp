@@ -12,7 +12,7 @@
 #include <random>
 #include <thread>
 
-#include "service/journal.hpp"
+#include "service/trace_log.hpp"
 
 namespace cmc::net {
 

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 
-#include "service/journal.hpp"
 #include "service/trace_log.hpp"
 
 namespace cmc::net {

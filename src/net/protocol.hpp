@@ -35,8 +35,9 @@
 // one of BAD_REQUEST, BUSY, DRAINING, NOT_FOUND, INTERNAL — plus a
 // human-readable "error".  A successful CHECK response embeds the full
 // JobReport JSON as an *escaped string* field "report" (the repo's
-// convention for nesting documents inside flat lines, as with journal
-// proof certificates), next to flat summary fields for cheap consumers.
+// convention for nesting documents inside flat lines, as with the cache
+// store's proof certificates), next to flat summary fields for cheap
+// consumers.
 //
 // Framing limits: a request line longer than kMaxLineBytes is a protocol
 // error — the server responds BAD_REQUEST and closes the connection
@@ -61,11 +62,12 @@ constexpr std::size_t kMaxLineBytes = 8u << 20;
 /// ("only") the cluster coordinator forwards on; rev 3 added the cluster
 /// admin verbs (TOPOLOGY/JOIN/LEAVE) and the CACHE_PUT replica
 /// write-through; rev 4 removed the "bes" and "race" engine values (now
-/// BAD_REQUEST).  The coordinator refuses shards whose revision differs
-/// from its own: an old shard would silently ignore "only" (wrong, not
-/// slow), drop replica puts (silently un-replicated), or accept engines
-/// this revision rejects.
-constexpr std::uint64_t kProtocolRevision = 4;
+/// BAD_REQUEST); rev 5 removed the run-journal hit count from CHECK
+/// responses (resumed verdicts are cache hits).  The coordinator refuses
+/// shards whose revision differs from its own: an old shard would silently
+/// ignore "only" (wrong, not slow), drop replica puts (silently
+/// un-replicated), or accept engines this revision rejects.
+constexpr std::uint64_t kProtocolRevision = 5;
 
 /// Error codes of failure responses.
 inline constexpr const char* kBadRequest = "BAD_REQUEST";

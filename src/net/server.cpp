@@ -41,15 +41,8 @@ std::string jobNameFromPath(const std::string& path) {
 }  // namespace
 
 Server::Server(ServerOptions opts, service::VerificationService& svc,
-               service::MetricsRegistry& metrics, service::RunTrace& trace,
-               service::RunJournal* journal,
-               const service::JournalReplay* replay)
-    : opts_(std::move(opts)),
-      svc_(svc),
-      metrics_(metrics),
-      trace_(trace),
-      journal_(journal),
-      replay_(replay) {}
+               service::MetricsRegistry& metrics, service::RunTrace& trace)
+    : opts_(std::move(opts)), svc_(svc), metrics_(metrics), trace_(trace) {}
 
 Server::~Server() { shutdown(); }
 
@@ -166,8 +159,8 @@ void Server::shutdown() {
   if (shutdownDone_) return;
   requestDrain();
 
-  // Every admitted CHECK completes and writes its response first; the
-  // journal already holds each decided obligation.
+  // Every admitted CHECK completes and writes its response first; with a
+  // --cache-dir the store already holds each decided verdict.
   {
     std::unique_lock<std::mutex> lock(admitMutex_);
     admitCv_.wait(lock, [&] { return executing_ == 0 && waiting_ == 0; });
@@ -437,13 +430,11 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
   WallTimer runTimer;
   // Learn-enabled checks route through the assume-guarantee engine; its
   // service queries and fallbacks reuse this server's scheduler and cache.
-  // (Journal replay does not apply to learned runs: their obligations are
-  // derived, not journaled attempt-by-attempt.)
   service::JobReport report =
       job.options.learn
           ? agr::runLearnedJob(svc_, job, agr::LearnOptions{}, &trace_,
                                &metrics_)
-          : svc_.run(job, &trace_, journal_, replay_, &state->cancel);
+          : svc_.run(job, &trace_, &state->cancel);
   const double runSeconds = runTimer.seconds();
   state->connFd.store(-1, std::memory_order_release);
   state->running.store(false, std::memory_order_release);
@@ -468,7 +459,6 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
       .putUint("fails", fails)
       .putUint("undecided", undecided)
       .putUint("cache_hits", report.cacheHits)
-      .putUint("journal_hits", report.journalHits)
       .putDouble("queue_wait_seconds", waitSeconds)
       .putDouble("wall_seconds", report.wallSeconds);
   if (report.obligations.size() == 1) {
@@ -578,8 +568,6 @@ std::string Server::statsResponse() {
         .putUint("cache_evictions", s.evictions)
         .putUint("cache_loaded", s.loaded);
   }
-  if (journal_ != nullptr && journal_->isOpen())
-    resp.putUint("journal_recorded", journal_->recorded());
   // Both renderings as escaped strings (the flat-line convention), so the
   // response stays one line and the summary fields above extract safely.
   resp.put("metrics", metrics_.toJson());

@@ -6,8 +6,8 @@
 // Why a daemon: every `cmc check` pays process startup, cold BDD contexts,
 // and a cold obligation cache; the warm-cache win only compounds within a
 // single process.  The server turns the obligation stream into a served
-// workload — the cache, the partitioned checker, and the journal amortize
-// across requests instead of within one run.
+// workload — the cache and the partitioned checker amortize across
+// requests instead of within one run.
 //
 // Threading model
 //   - one accept thread per listener (poll + accept, so shutdown is
@@ -28,9 +28,10 @@
 //
 // Wind-down (DRAIN command or SIGTERM in cmc serve)
 //   New CHECKs are refused with DRAINING; queued-and-admitted and running
-//   requests complete and get their responses; the journal already holds
-//   every decided outcome (append+flush per verdict); then listeners and
-//   connections close and shutdown() returns.  SIGTERM = drain + exit 0.
+//   requests complete and get their responses; with a --cache-dir the
+//   store already holds every decided verdict (one append per verdict);
+//   then listeners and connections close and shutdown() returns.
+//   SIGTERM = drain + exit 0.
 #pragma once
 
 #include <atomic>
@@ -45,7 +46,6 @@
 #include <condition_variable>
 
 #include "net/protocol.hpp"
-#include "service/journal.hpp"
 #include "service/metrics.hpp"
 #include "service/scheduler.hpp"
 #include "service/trace_log.hpp"
@@ -77,12 +77,10 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// The service, metrics registry, trace, and journal/replay are owned by
-  /// the embedder (cmc serve) and must outlive the server.  journal and
-  /// replay may be null; trace may not.
+  /// The service, metrics registry, and trace are owned by the embedder
+  /// (cmc serve) and must outlive the server.
   Server(ServerOptions opts, service::VerificationService& svc,
-         service::MetricsRegistry& metrics, service::RunTrace& trace,
-         service::RunJournal* journal, const service::JournalReplay* replay);
+         service::MetricsRegistry& metrics, service::RunTrace& trace);
   ~Server();
 
   Server(const Server&) = delete;
@@ -154,8 +152,6 @@ class Server {
   service::VerificationService& svc_;
   service::MetricsRegistry& metrics_;
   service::RunTrace& trace_;
-  service::RunJournal* journal_;
-  const service::JournalReplay* replay_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopping_{false};

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "smv/elaborate.hpp"
@@ -44,6 +45,9 @@ enum class Verdict {
 };
 
 const char* toString(Verdict v) noexcept;
+
+/// Parse a verdict name as written by toString(Verdict).
+bool verdictFromString(std::string_view text, Verdict* out) noexcept;
 
 /// Worst-of aggregation for a job's obligations: a definite Fails dominates
 /// everything, then Error, then the budget verdicts, then Holds.
@@ -81,8 +85,8 @@ struct JobOptions {
   /// Sift variables (Manager::reorderSift) after elaboration, before
   /// checking — the service counterpart of `cmc_check --reorder`.
   bool reorderBeforeCheck = false;
-  /// A cache/journal-replayed Fails may carry no counterexample (trace
-  /// search is best-effort and older entries may predate it).  By default
+  /// A cache-replayed Fails may carry no counterexample (trace search is
+  /// best-effort and older entries may predate it).  By default
   /// the replay stands and the trace notes trace_unavailable; with this
   /// set the obligation is re-checked so a trace can be derived.  Not part
   /// of the obligation fingerprint: it changes how a verdict is *served*,
@@ -149,8 +153,8 @@ struct ObligationOutcome {
   std::string specText;  ///< rendered CTL formula
   Verdict verdict = Verdict::Error;
   /// "checked" when the verdict came from running the checker, "cache"
-  /// when it was served by the obligation cache, "journal" when replayed
-  /// from a prior run's journal on --resume (zero attempts either way).
+  /// when it was served by the obligation cache (zero attempts), "learned"
+  /// when the assume-guarantee engine discharged it.
   std::string verdictSource = "checked";
   /// Content fingerprint used to address the obligation cache; empty when
   /// fingerprinting failed or the cache is disabled.
@@ -200,8 +204,6 @@ struct JobReport {
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheMisses = 0;
   std::uint64_t cacheInserts = 0;
-  /// Obligations replayed from a prior run's journal (--resume).
-  std::uint64_t journalHits = 0;
 
   bool allHold() const noexcept { return verdict == Verdict::Holds; }
   /// The summary JSON written next to the model (schema in README.md).

@@ -9,7 +9,7 @@ namespace cmc::service {
 
 const std::vector<double>& LatencyHistogram::bucketBounds() {
   // 10 us .. 60 s, 1-2.5-5 per decade: the sub-millisecond rungs resolve
-  // cache/journal hits and the common small component obligations, the
+  // cache hits and the common small component obligations, the
   // middle of the ladder covers healthy checker attempts, the top covers
   // budget-bound runs.  Keep in sync with kFiniteBuckets.
   static const std::vector<double> kBounds = {

@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "service/journal.hpp"
 #include "service/trace_log.hpp"
 #include "util/failpoint.hpp"
 #include "util/hash.hpp"
@@ -52,7 +51,7 @@ bool writeAll(int fd, const std::string& data) {
   return true;
 }
 
-/// One store line: the entry object wrapped in the journal's CRC framing
+/// One store line: the entry object wrapped in the CRC framing
 /// (frameLine), so a crash mid-append can never yield a silently
 /// half-parsed entry.  The proof certificate is stored as a JSON *string*
 /// (escaped), not a nested object, so the tolerant loader never needs to
@@ -256,15 +255,24 @@ void ObligationCache::appendDisk(const std::string& fingerprint,
     // write(2) to an O_APPEND descriptor while holding the lock; a reader
     // — or a crash — sees whole lines plus at most one truncated tail,
     // which the checksum rejects on load.
-    const int fd = ::open(diskPath_.c_str(), O_CREAT | O_WRONLY | O_APPEND,
+    // O_RDWR, not O_WRONLY: the torn-tail check below reads the last byte.
+    const int fd = ::open(diskPath_.c_str(), O_CREAT | O_RDWR | O_APPEND,
                           0644);
     if (fd < 0) throw Error("cannot open " + diskPath_);
     bool ok = false;
     std::string failure;
     if (::flock(fd, LOCK_EX) == 0) {
-      // Whichever locked an empty store first prepends the header.
+      // Whichever locked an empty store first prepends the header.  A
+      // store whose last append was torn by a crash ends mid-line: start
+      // on a fresh line, or this entry would be glued onto the torn tail
+      // and fail the checksum with it.
       const off_t size = ::lseek(fd, 0, SEEK_END);
-      if (size == 0) data.insert(0, storeHeader() + "\n");
+      char last = '\n';
+      if (size == 0) {
+        data.insert(0, storeHeader() + "\n");
+      } else if (::pread(fd, &last, 1, size - 1) == 1 && last != '\n') {
+        data.insert(0, "\n");
+      }
       ok = writeAll(fd, data);
       if (!ok) failure = "write to " + diskPath_ + " failed";
       ::flock(fd, LOCK_UN);

@@ -19,6 +19,21 @@ const char* toString(Verdict v) noexcept {
   return "Unknown";
 }
 
+bool verdictFromString(std::string_view text, Verdict* out) noexcept {
+  static constexpr Verdict kAll[] = {
+      Verdict::Holds,     Verdict::Fails, Verdict::Timeout,
+      Verdict::MemoryOut, Verdict::Inconclusive,
+      Verdict::Cancelled, Verdict::Error,
+  };
+  for (Verdict v : kAll) {
+    if (text == toString(v)) {
+      *out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
 Verdict worseVerdict(Verdict a, Verdict b) noexcept {
   // Severity for job aggregation: a definite refutation dominates (the job
   // answered "no"), then errors, then the not-an-answer verdicts.
@@ -122,7 +137,6 @@ std::string JobReport::toJson() const {
       .putUint("misses", cacheMisses)
       .putUint("inserts", cacheInserts);
   root.putRaw("cache", cache.str());
-  root.putUint("journal_hits", journalHits);
   std::ostringstream arr;
   arr << '[';
   for (std::size_t i = 0; i < obligations.size(); ++i) {

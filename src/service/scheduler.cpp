@@ -43,7 +43,6 @@ struct ObligationInstruments {
         completed(m.counter("obligations_completed")),
         sourceChecked(m.counter("obligations_checked")),
         sourceCache(m.counter("obligations_cache")),
-        sourceJournal(m.counter("obligations_journal")),
         holds(m.counter("verdict_holds")),
         fails(m.counter("verdict_fails")),
         timeout(m.counter("verdict_timeout")),
@@ -70,7 +69,6 @@ struct ObligationInstruments {
   }
   Counter& sourceCounter(const std::string& source) const {
     if (source == "cache") return sourceCache;
-    if (source == "journal") return sourceJournal;
     return sourceChecked;
   }
 
@@ -78,7 +76,6 @@ struct ObligationInstruments {
   Counter& completed;
   Counter& sourceChecked;
   Counter& sourceCache;
-  Counter& sourceJournal;
   Counter& holds;
   Counter& fails;
   Counter& timeout;
@@ -351,58 +348,6 @@ AttemptOutput runAttempt(const ObligationDesc& d,
   return out;
 }
 
-/// The replay identity of an obligation descriptor (see journalKey).
-std::string replayKeyFor(const ObligationDesc& d) {
-  JournalEntry probe;
-  probe.fingerprint = d.fingerprint;
-  probe.job = d.jobName;
-  probe.id = d.id;
-  probe.specText = d.specText;
-  return journalKey(probe);
-}
-
-JournalEntry journalEntryFor(const ObligationDesc& d,
-                             const ObligationOutcome& out) {
-  JournalEntry e;
-  e.fingerprint = d.fingerprint;
-  e.job = d.jobName;
-  e.id = d.id;
-  e.target = d.target;
-  e.spec = d.specName;
-  e.specText = d.specText;
-  e.verdict = out.verdict;
-  e.rule = out.rule;
-  e.engine = out.attempts.empty() ? "" : out.attempts.back().engine;
-  e.seconds = out.seconds;
-  e.error = out.error;
-  e.counterexample = out.counterexample;
-  e.proofJson = out.proofJson;
-  return e;
-}
-
-/// Serve a previously journaled decision (--resume); zero attempts.
-bool serveFromJournal(const ObligationDesc& d, const JournalReplay* replay,
-                      ObligationOutcome& out, RunTrace& trace) {
-  if (replay == nullptr) return false;
-  const JournalEntry* hit = replay->find(replayKeyFor(d));
-  if (hit == nullptr) return false;
-  out.verdict = hit->verdict;
-  out.verdictSource = "journal";
-  out.rule = hit->rule;
-  out.counterexample = hit->counterexample;
-  out.proofJson = hit->proofJson;
-  if (trace.enabled()) {
-    trace.emit(JsonObject()
-                   .put("event", "journal_hit")
-                   .putDouble("t", trace.elapsedSeconds())
-                   .put("job", d.jobName)
-                   .put("obligation", d.id)
-                   .put("verdict", toString(out.verdict))
-                   .putDouble("original_seconds", hit->seconds));
-  }
-  return true;
-}
-
 /// Serve the obligation cache; zero attempts on a hit.
 bool serveFromCache(const ObligationDesc& d, ObligationCache* cache,
                     ObligationOutcome& out, RunTrace& trace) {
@@ -613,8 +558,6 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
 
 ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
                                 ThreadPool& pool, ObligationCache* cache,
-                                RunJournal* journal,
-                                const JournalReplay* replay,
                                 const CancelFlags& cancel,
                                 const ObligationInstruments* ins) {
   ObligationOutcome out;
@@ -649,13 +592,12 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
       // Drain mode: the run is being interrupted — report the queued
       // obligation as Cancelled without spending an attempt on it.
       out.verdict = Verdict::Cancelled;
-    } else if (!serveFromJournal(d, replay, out, trace) &&
-               !serveFromCache(d, cache, out, trace)) {
+    } else if (!serveFromCache(d, cache, out, trace)) {
       runAttempts(d, out, trace, cache, cancel, ins);
     } else if (out.verdict == Verdict::Fails &&
                out.counterexample.empty()) {
       // A replayed Fails stored no counterexample (trace search is
-      // best-effort; older cache/journal entries may predate it).  The
+      // best-effort; older cache entries may predate it).  The
       // replay is still the verdict — but a consumer that asked for traces
       // must not silently get none: say so explicitly, or re-check on
       // demand under --trace-force.
@@ -702,12 +644,6 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
     ins->obligationSeconds.observe(dispatchTimer.seconds());
   }
 
-  // Journal the outcome the moment it is final (append + flush inside);
-  // replayed outcomes are already in the journal being resumed.
-  if (journal != nullptr && out.verdictSource != "journal") {
-    journal->record(journalEntryFor(d, out));
-  }
-
   std::uint64_t peak = 0;
   for (const AttemptRecord& a : out.attempts) {
     peak = std::max(peak, a.peakLiveNodes);
@@ -737,11 +673,10 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
 }  // namespace
 
 JobReport VerificationService::run(const VerificationJob& job,
-                                   RunTrace* trace, RunJournal* journal,
-                                   const JournalReplay* replay,
+                                   RunTrace* trace,
                                    const std::atomic<bool>* cancel) {
   const std::vector<VerificationJob> one{job};
-  return runBatch(one, trace, journal, replay, cancel).front();
+  return runBatch(one, trace, cancel).front();
 }
 
 std::shared_future<SnapshotResult> VerificationService::snapshotFor(
@@ -799,7 +734,6 @@ std::shared_future<SnapshotResult> VerificationService::snapshotFor(
 
 std::vector<JobReport> VerificationService::runBatch(
     const std::vector<VerificationJob>& jobs, RunTrace* trace,
-    RunJournal* journal, const JournalReplay* replay,
     const std::atomic<bool>* cancel) {
   // No caller-provided trace → drop events instead of buffering them for
   // nobody; the per-event JSON serialization is measurable against small
@@ -812,8 +746,7 @@ std::vector<JobReport> VerificationService::runBatch(
   if (metrics_ != nullptr) instruments.emplace(*metrics_);
   const ObligationInstruments* ins =
       instruments.has_value() ? &*instruments : nullptr;
-  const bool wantCanon =
-      cache_ != nullptr || journal != nullptr || replay != nullptr;
+  const bool wantCanon = cache_ != nullptr;
 
   struct JobState {
     WallTimer timer;
@@ -932,17 +865,15 @@ std::vector<JobReport> VerificationService::runBatch(
     for (const ObligationDesc& d : state.descs) {
       auto remaining = state.remaining;
       auto donePromise = state.donePromise;
-      state.futures.push_back(pool_.submit([d, &tr, journal, replay, flags,
-                                            remaining, donePromise, ins,
-                                            this] {
+      state.futures.push_back(pool_.submit([d, &tr, flags, remaining,
+                                            donePromise, ins, this] {
         // Last line of defence: runObligation already guards its decision
         // path, but nothing that reaches the pool may ever rethrow through
         // future.get() — one poisoned obligation must not lose its
         // siblings' outcomes.
         ObligationOutcome out;
         try {
-          out = runObligation(d, tr, pool_, cache_.get(), journal, replay,
-                              flags, ins);
+          out = runObligation(d, tr, pool_, cache_.get(), flags, ins);
         } catch (const std::exception& e) {
           out.id = d.id;
           out.target = d.target;
@@ -986,8 +917,7 @@ std::vector<JobReport> VerificationService::runBatch(
       report.obligations.push_back(f.get());
       const ObligationOutcome& o = report.obligations.back();
       report.verdict = worseVerdict(report.verdict, o.verdict);
-      if (o.verdictSource == "journal") ++report.journalHits;
-      if (!o.fingerprint.empty() && o.verdictSource != "journal") {
+      if (!o.fingerprint.empty()) {
         if (o.verdictSource == "cache") ++report.cacheHits;
         else ++report.cacheMisses;
         if (o.cacheInserted) ++report.cacheInserts;
@@ -1006,8 +936,7 @@ std::vector<JobReport> VerificationService::runBatch(
                                report.obligations.size()))
                   .putUint("cache_hits", report.cacheHits)
                   .putUint("cache_misses", report.cacheMisses)
-                  .putUint("cache_inserts", report.cacheInserts)
-                  .putUint("journal_hits", report.journalHits));
+                  .putUint("cache_inserts", report.cacheInserts));
     }
     reports.push_back(std::move(report));
   }

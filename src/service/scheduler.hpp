@@ -31,15 +31,16 @@
 //    consults the service's ObligationCache and serves a hit without any
 //    checker attempt (verdict_source "cache" in trace and report).  Only
 //    decided verdicts (Holds/Fails) are inserted.
+//  - Durability: with ServiceOptions::cacheDir set, every decided verdict
+//    is appended to the cache's disk store (one CRC-framed line, a single
+//    write(2) under flock) the moment it is inserted, so an interrupted or
+//    SIGKILLed run resumes by running again on the same directory: the
+//    decided obligations are served from the store, the rest are checked.
 //  - Quarantine: an attempt that throws an unexpected exception (anything
 //    other than the budget/cancel CancelledError) is retried once on a
 //    fresh Context; a second throw marks the obligation Error with the
 //    exception recorded in the report.  A poisoned obligation can never
 //    take down its siblings — the worker task itself never throws.
-//  - Durability: with a RunJournal attached, every final outcome is
-//    appended (with a per-line checksum, flushed) the moment it is
-//    decided; with a JournalReplay, already-decided obligations are served
-//    from the journal (verdict_source "journal") without any attempt.
 //  - Cancellation: ServiceOptions::cancelFlag is polled at obligation
 //    pickup and inside the checker's cancel hook; once set, running
 //    attempts abort and queued obligations drain as Cancelled, so a batch
@@ -55,7 +56,6 @@
 #include <unordered_map>
 
 #include "service/job.hpp"
-#include "service/journal.hpp"
 #include "service/metrics.hpp"
 #include "service/obligation_cache.hpp"
 #include "service/snapshot.hpp"
@@ -74,7 +74,8 @@ struct ServiceOptions {
   /// In-memory cache capacity (entries across shards).
   std::size_t cacheCapacity = 1 << 16;
   /// Directory of the persistent JSONL verdict store (cmc --cache-dir);
-  /// empty = in-memory only.
+  /// empty = in-memory only.  Ignored when cacheEnabled is false, which is
+  /// why cmc refuses --no-cache together with --cache-dir.
   std::string cacheDir;
   /// Cooperative cancellation: when non-null and set, workers abort their
   /// current attempt (verdict Cancelled) and drain queued obligations
@@ -89,7 +90,7 @@ struct ServiceOptions {
   std::size_t snapshotCacheCapacity = 16;
   /// Scheduler observability: when non-null, obligation dispatch and
   /// verdicts are counted (obligations_dispatched, obligations_completed,
-  /// per-source obligations_{checked,cache,journal}, per-verdict
+  /// per-source obligations_{checked,cache}, per-verdict
   /// verdict_*) and per-obligation latency lands in the
   /// obligation_seconds histogram.  Owned by the embedder (cmc serve
   /// shares one registry between server and scheduler); must outlive the
@@ -113,27 +114,21 @@ class VerificationService {
   }
 
   /// Run one job to completion; events go to `trace` when non-null.
-  /// Outcomes are journaled to `journal` (when open) as they are decided;
-  /// obligations found decided in `replay` are served without attempts.
   /// `cancel` is a per-call cancel flag, polled alongside the service-wide
   /// ServiceOptions::cancelFlag — `cmc serve` points it at the per-request
   /// flag its CANCEL command raises, so one request winds down without
   /// touching its neighbours.
   JobReport run(const VerificationJob& job, RunTrace* trace = nullptr,
-                RunJournal* journal = nullptr,
-                const JournalReplay* replay = nullptr,
                 const std::atomic<bool>* cancel = nullptr);
 
   /// Run a batch: all obligations of all jobs share the pool, so a wide
   /// job cannot starve a narrow one queued behind it (obligations
   /// interleave at task granularity).  Reports are returned in job order.
   /// Safe to call concurrently from several threads (the server does):
-  /// the pool, cache, journal, and trace are all thread-safe, and each
+  /// the pool, cache, and trace are all thread-safe, and each
   /// call owns its own futures.
   std::vector<JobReport> runBatch(const std::vector<VerificationJob>& jobs,
                                   RunTrace* trace = nullptr,
-                                  RunJournal* journal = nullptr,
-                                  const JournalReplay* replay = nullptr,
                                   const std::atomic<bool>* cancel = nullptr);
 
   unsigned threads() const noexcept { return pool_.size(); }

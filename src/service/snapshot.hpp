@@ -45,9 +45,8 @@ struct ElaborationSnapshot {
   /// is movable; never null after a successful build.
   std::unique_ptr<symbolic::Context> ctx;
   std::vector<smv::ElaboratedModule> modules;
-  /// Canonical serializations for the obligation cache / journal replay
-  /// key, one per module; empty when fingerprinting failed or was not
-  /// requested.
+  /// Canonical serializations for the obligation cache key, one per
+  /// module; empty when fingerprinting failed or was not requested.
   std::vector<std::string> canon;
   /// Per-module engine decision (EngineMode::Auto only; defaulted
   /// otherwise).

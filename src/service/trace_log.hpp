@@ -11,10 +11,24 @@
 // the summary report: insertion-ordered keys, no nesting except through
 // putRaw(), everything serialized eagerly.  The repo has no JSON
 // dependency, and the service's output is flat enough not to want one.
+//
+// The same flat single-line format is what the obligation cache's disk
+// store, the wire protocol and the cluster topology file read back, so the
+// reading side lives here too: jsonExtract* pull one field out of a flat
+// line, and frameLine/unframeLine add and verify a trailing CRC-32 field.
+//
+// Framing
+//   A framed line is a flat JSON object whose LAST key is "crc":
+//     {"fp": "...", ..., "crc": "9a3f12cd"}
+//   The checksum covers the payload exactly as serialized (the object with
+//   the ", \"crc\": ...\"" suffix removed and the brace restored), so a
+//   torn tail, a flipped byte, or an interleaved partial write is detected
+//   and the line dropped on load — corruption is counted, never parsed.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -29,6 +43,30 @@ std::string jsonEscape(std::string_view s);
 
 /// Serialize a double the way JSON wants it (no inf/nan, %g precision).
 std::string jsonNumber(double value);
+
+/// CRC-32 (IEEE 802.3, reflected) — the per-line checksum of framed lines.
+std::uint32_t crc32(std::string_view bytes) noexcept;
+
+/// Frame a serialized flat JSON object with a trailing checksum field:
+/// {"k": v} -> {"k": v, "crc": "xxxxxxxx"}.  The input must be a
+/// non-empty object serialization ({...}).
+std::string frameLine(const std::string& payloadJson);
+
+/// Verify and strip the framing checksum.  Returns the payload object, or
+/// nullopt for torn, truncated, or corrupted lines.
+std::optional<std::string> unframeLine(std::string_view line);
+
+/// Field extraction from the flat single-line JSON written by JsonObject
+/// (cache store lines, protocol messages).  Returns false when the key is
+/// missing or its value is malformed/truncated.
+bool jsonExtractString(const std::string& line, const std::string& key,
+                       std::string* out);
+bool jsonExtractDouble(const std::string& line, const std::string& key,
+                       double* out);
+bool jsonExtractUint(const std::string& line, const std::string& key,
+                     std::uint64_t* out);
+bool jsonExtractBool(const std::string& line, const std::string& key,
+                     bool* out);
 
 class JsonObject {
  public:

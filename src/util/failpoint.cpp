@@ -30,8 +30,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"trace.write", "run-trace JSONL sink write (per event)"},
     {"scheduler.dispatch", "worker pickup of an obligation, before attempts"},
     {"scheduler.retry", "engine-degradation retry decision"},
-    {"journal.append", "run-journal append of a decided obligation"},
-    {"journal.load", "run-journal load on --resume (per line)"},
     {"net.accept", "server accept of a new connection (before the handler)"},
     {"net.read", "server read of a request line (per read attempt)"},
     {"cluster.hedge_delay",

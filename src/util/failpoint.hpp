@@ -1,6 +1,6 @@
 // Deterministic fault injection (failpoints): named sites compiled into
 // the hot failure surfaces of the library, armed at runtime to exercise
-// the recovery machinery (worker quarantine, cache/journal degradation,
+// the recovery machinery (worker quarantine, cache-store degradation,
 // budget paths) that a healthy run never reaches.
 //
 // A site is declared with the CMC_FAILPOINT("name") macro.  In the default

@@ -1,9 +1,9 @@
 // The build version, defined by CMake (CMC_VERSION="<project version>" on
 // cmc_util, PUBLIC so every dependent sees the same string).  Stamped into
 // `cmc version`, report JSON ("cmc_version"), trace job_start events, and
-// the journal/cache disk-store header lines, so artifacts written by
-// different builds are diagnosable when they meet (a shared --cache-dir, a
-// resumed journal, an archived report).
+// the cache disk-store header line, so artifacts written by different
+// builds are diagnosable when they meet (a shared --cache-dir, an archived
+// report).
 #pragma once
 
 namespace cmc::util {

@@ -245,8 +245,7 @@ struct ShardHarness {
     sockPath = freshSocketPath("shard");
     net::ServerOptions opts;
     opts.socketPath = sockPath;
-    server = std::make_unique<net::Server>(opts, *svc, metrics, trace,
-                                           nullptr, nullptr);
+    server = std::make_unique<net::Server>(opts, *svc, metrics, trace);
     std::string err;
     started = server->start(&err);
     EXPECT_TRUE(started) << err;
@@ -261,8 +260,7 @@ struct ShardHarness {
     server->shutdown();
     net::ServerOptions opts;
     opts.socketPath = sockPath;
-    server = std::make_unique<net::Server>(opts, *svc, metrics, trace,
-                                           nullptr, nullptr);
+    server = std::make_unique<net::Server>(opts, *svc, metrics, trace);
     std::string err;
     started = server->start(&err);
     EXPECT_TRUE(started) << err;

@@ -33,8 +33,6 @@ TEST_F(FailpointTest, CatalogSitesAreEnumerableBeforeFirstHit) {
   EXPECT_TRUE(has("trace.write"));
   EXPECT_TRUE(has("scheduler.dispatch"));
   EXPECT_TRUE(has("scheduler.retry"));
-  EXPECT_TRUE(has("journal.append"));
-  EXPECT_TRUE(has("journal.load"));
 }
 
 TEST_F(FailpointTest, DisarmedSiteIsANoOp) {

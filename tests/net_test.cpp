@@ -25,7 +25,6 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
-#include "service/journal.hpp"
 #include "service/scheduler.hpp"
 #include "service/trace_log.hpp"
 #include "util/timer.hpp"
@@ -116,8 +115,7 @@ struct Harness {
     opts.maxInFlight = maxInFlight;
     opts.queueDepth = queueDepth;
     opts.metricsIntervalSeconds = metricsInterval;
-    server = std::make_unique<Server>(opts, *svc, metrics, trace, nullptr,
-                                      nullptr);
+    server = std::make_unique<Server>(opts, *svc, metrics, trace);
     std::string err;
     started = server->start(&err);
     EXPECT_TRUE(started) << err;
@@ -205,9 +203,10 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
 
 TEST(NetProtocol, ParsesRev3ClusterAdminCommands) {
   // The admin commands arrived with protocol revision 3 (rev 4 removed the
-  // "bes"/"race" engine values); the gate test in cluster_test.cpp proves
-  // other revisions are refused outright.
-  EXPECT_EQ(kProtocolRevision, 4u);
+  // "bes"/"race" engine values, rev 5 the CHECK response's journal hit
+  // count); the gate test in cluster_test.cpp proves other revisions are
+  // refused outright.
+  EXPECT_EQ(kProtocolRevision, 5u);
   const service::JobOptions defaults;
   Request req;
   std::string err;
@@ -339,14 +338,15 @@ TEST(NetServer, RemovedEngineValuesGetBadRequest) {
         << resp;
   }
   EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 0u);
-  // STATUS and STATS stamp the revision that made these values an error.
+  // STATUS and STATS stamp the current revision (rev 4 made these values
+  // an error).
   for (const char* cmd : {"STATUS", "STATS"}) {
     ASSERT_TRUE(c.request(std::string("{\"cmd\": \"") + cmd + "\"}", &resp,
                           &err))
         << err;
     std::uint64_t rev = 0;
     EXPECT_TRUE(service::jsonExtractUint(resp, "protocol_rev", &rev)) << cmd;
-    EXPECT_EQ(rev, 4u) << cmd;
+    EXPECT_EQ(rev, 5u) << cmd;
   }
 }
 
@@ -700,8 +700,7 @@ TEST(NetClient, ConnectRetryingWaitsForALateServer) {
   std::unique_ptr<Server> server;
   std::thread starter([&] {
     std::this_thread::sleep_for(200ms);
-    server = std::make_unique<Server>(opts, svc, metrics, trace, nullptr,
-                                      nullptr);
+    server = std::make_unique<Server>(opts, svc, metrics, trace);
     std::string err;
     EXPECT_TRUE(server->start(&err)) << err;
   });
@@ -746,8 +745,7 @@ TEST(NetClient, RequestWithRetrySurvivesAServerRestartOnTheSameSocket) {
           .string();
   ServerOptions opts;
   opts.socketPath = path;
-  auto server = std::make_unique<Server>(opts, svc, metrics, trace, nullptr,
-                                         nullptr);
+  auto server = std::make_unique<Server>(opts, svc, metrics, trace);
   std::string err;
   ASSERT_TRUE(server->start(&err)) << err;
   Client c;
@@ -758,8 +756,7 @@ TEST(NetClient, RequestWithRetrySurvivesAServerRestartOnTheSameSocket) {
   server->shutdown();
   std::thread restarter([&] {
     std::this_thread::sleep_for(150ms);
-    server = std::make_unique<Server>(opts, svc, metrics, trace, nullptr,
-                                      nullptr);
+    server = std::make_unique<Server>(opts, svc, metrics, trace);
     std::string startErr;
     EXPECT_TRUE(server->start(&startErr)) << startErr;
   });

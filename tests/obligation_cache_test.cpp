@@ -1,9 +1,11 @@
 // Tests for the content-addressed obligation cache: fingerprint
 // sensitivity (the restriction index r and the verdict-relevant options
-// MUST be part of the key), LRU/tier mechanics, corruption-tolerant disk
-// loading, and the service-level plumbing (hits served without checker
-// attempts, only decided verdicts inserted, disk round-trips across
-// service instances, shared cache under a concurrent batch).
+// MUST be part of the key), the CRC-32 line framing of the disk store,
+// LRU/tier mechanics, corruption-tolerant disk loading, and the
+// service-level plumbing (hits served without checker attempts, only
+// decided verdicts inserted, disk round-trips across service instances,
+// resuming an interrupted run from its store, shared cache under a
+// concurrent batch).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,6 +15,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,6 +55,15 @@ fs::path scratchDir(const char* name) {
   const fs::path dir = fs::temp_directory_path() / name;
   fs::remove_all(dir);
   return dir;
+}
+
+/// Every line of a store file, in order.
+std::vector<std::string> storeLines(const fs::path& dir) {
+  std::vector<std::string> lines;
+  std::ifstream in(dir / "obligations.jsonl");
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,6 +139,41 @@ TEST(ObligationFingerprint, RestrictionAndOptionsArePartOfTheKey) {
 }
 
 // ---------------------------------------------------------------------------
+// Line framing (the disk store's per-line checksum)
+// ---------------------------------------------------------------------------
+
+TEST(LineFraming, Crc32MatchesTheIeeeCheckValue) {
+  // The canonical CRC-32 check vector.
+  EXPECT_EQ(crc32("123456789"), 0xcbf43926u);
+  EXPECT_EQ(crc32(""), 0x00000000u);
+}
+
+TEST(LineFraming, FrameUnframeRoundTrips) {
+  const std::string payload = "{\"k\": \"v\", \"n\": 3}";
+  const std::string framed = frameLine(payload);
+  EXPECT_NE(framed.find("\"crc\": \""), std::string::npos);
+  const std::optional<std::string> back = unframeLine(framed);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, payload);
+}
+
+TEST(LineFraming, TamperedTruncatedAndBareLinesAreRejected) {
+  const std::string framed = frameLine("{\"k\": \"v\"}");
+  std::string flipped = framed;
+  flipped[7] ^= 1;  // one bit inside the payload
+  EXPECT_FALSE(unframeLine(flipped).has_value());
+  // A torn tail (the crash case: the line was cut mid-write).
+  EXPECT_FALSE(unframeLine(framed.substr(0, framed.size() - 4)).has_value());
+  // Lines with no framing at all.
+  EXPECT_FALSE(unframeLine("{\"k\": \"v\"}").has_value());
+  EXPECT_FALSE(unframeLine("").has_value());
+  // A forged checksum.
+  std::string forged = framed;
+  forged.replace(forged.size() - 10, 8, "deadbeef");
+  EXPECT_FALSE(unframeLine(forged).has_value());
+}
+
+// ---------------------------------------------------------------------------
 // Cache mechanics
 // ---------------------------------------------------------------------------
 
@@ -163,10 +210,9 @@ TEST(ObligationCacheUnit, LruEvictsBeyondCapacity) {
   EXPECT_EQ(cache.stats().inserts, 256u);
 }
 
-TEST(ObligationCacheUnit, StoreLinesCarryTheJournalFraming) {
-  // Satellite of the durability work: every appended store line is framed
-  // with the journal's CRC helper (and flushed), so torn or bit-flipped
-  // lines are rejected by checksum rather than half-parsed.
+TEST(ObligationCacheUnit, StoreLinesAreCrcFramed) {
+  // Every appended store line is CRC-framed, so torn or bit-flipped lines
+  // are rejected by checksum rather than half-parsed.
   const fs::path dir = scratchDir("cmc_obligation_cache_framing");
   {
     ObligationCache::Options opts;
@@ -180,12 +226,7 @@ TEST(ObligationCacheUnit, StoreLinesCarryTheJournalFraming) {
     EXPECT_TRUE(cache.insert("aaaa", v));
     EXPECT_TRUE(cache.insert("bbbb", v));
   }
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(dir / "obligations.jsonl");
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
+  const std::vector<std::string> lines = storeLines(dir);
   // Whichever process first appends to an empty store prepends the
   // versioned header; every line — header included — is CRC-framed.
   ASSERT_EQ(lines.size(), 3u);
@@ -400,6 +441,80 @@ TEST(ObligationCacheService, DiskStoreRoundTripsAcrossServiceInstances) {
   fs::remove_all(dir);
 }
 
+TEST(ObligationCacheService, InterruptedRunResumesFromTheStore) {
+  // Resuming is running again on the same --cache-dir.  A run killed
+  // mid-batch leaves the header, the entries it had decided, and at most
+  // one torn line; the re-run must serve exactly those entries, check the
+  // rest, agree with the full run, and append after the torn tail.
+  VerificationJob job;
+  job.name = "chain";
+  job.smvText = R"(
+MODULE chain
+VAR s : {a, b, c};
+ASSIGN next(s) := case s = a : b; s = b : c; 1 : s; esac;
+SPEC AG (s = a | s = b | s = c)
+SPEC AF (s = c)
+SPEC AG (s = a)
+SPEC EF (s = b)
+SPEC AG (s = c -> AX (s = c))
+)";
+  const fs::path dir = scratchDir("cmc_obligation_cache_resume");
+  ServiceOptions opts = withThreads(1);
+  opts.cacheDir = dir.string();
+
+  std::map<std::string, Verdict> fullVerdicts;
+  {
+    VerificationService svc(opts);
+    const JobReport full = svc.run(job);
+    ASSERT_EQ(full.obligations.size(), 5u);
+    EXPECT_EQ(full.cacheInserts, 5u);
+    EXPECT_EQ(full.verdict, Verdict::Fails);  // both decided verdicts occur
+    for (const ObligationOutcome& o : full.obligations) {
+      fullVerdicts[o.id] = o.verdict;
+    }
+  }
+
+  // Cut the store to the header, k entries, and half of entry k+1.
+  constexpr std::size_t k = 2;
+  const std::vector<std::string> lines = storeLines(dir);
+  ASSERT_EQ(lines.size(), 6u);
+  {
+    std::ofstream out(dir / "obligations.jsonl", std::ios::trunc);
+    for (std::size_t i = 0; i <= k; ++i) out << lines[i] << "\n";
+    out << lines[k + 1].substr(0, lines[k + 1].size() / 2);
+  }
+
+  {
+    VerificationService svc(opts);
+    EXPECT_EQ(svc.cache()->stats().loaded, k);
+    EXPECT_EQ(svc.cache()->stats().corruptLines, 1u);
+    const JobReport resumed = svc.run(job);
+    std::size_t served = 0;
+    for (const ObligationOutcome& o : resumed.obligations) {
+      EXPECT_EQ(o.verdict, fullVerdicts[o.id]) << o.id;
+      if (o.verdictSource == "cache") {
+        ++served;
+        EXPECT_TRUE(o.attempts.empty()) << o.id;
+      } else {
+        EXPECT_EQ(o.verdictSource, "checked") << o.id;
+        EXPECT_FALSE(o.attempts.empty()) << o.id;
+      }
+    }
+    EXPECT_EQ(served, k);
+    EXPECT_EQ(resumed.cacheHits, k);
+    EXPECT_EQ(resumed.cacheInserts, 5u - k);
+  }
+
+  // The store was appended to, not truncated: every entry loads, and the
+  // torn tail is the only corrupt line.
+  ObligationCache::Options copts;
+  copts.dir = dir.string();
+  ObligationCache reloaded(copts);
+  EXPECT_EQ(reloaded.stats().loaded, 5u);
+  EXPECT_EQ(reloaded.stats().corruptLines, 1u);
+  fs::remove_all(dir);
+}
+
 TEST(ObligationCacheService, ConcurrentBatchSharesOneCache) {
   // 16 jobs with identical content race on one fingerprint across 8
   // workers: exactly one insert may win, every verdict must agree, and the
@@ -585,6 +700,12 @@ TEST(ObligationCacheCompaction, RefusesMissingOrForeignStores) {
   EXPECT_FALSE(compactObligationStore(dir.string(), &result, &err));
   EXPECT_NE(err.find("format"), std::string::npos) << err;
   EXPECT_EQ(fs::file_size(dir / "obligations.jsonl"), sizeBefore);
+  // Nor may a loader serve it: a foreign header stops the load.
+  ObligationCache::Options opts;
+  opts.dir = dir.string();
+  ObligationCache cache(opts);
+  EXPECT_EQ(cache.stats().loaded, 0u);
+  EXPECT_FALSE(cache.lookup("x").has_value());
   fs::remove_all(dir);
 }
 

@@ -1,8 +1,7 @@
 // Tests for the verification service layer: job expansion, resource
 // budgets (deadline and node budget), the engine degradation/retry policy,
-// worker quarantine, cooperative cancellation, journal integration,
-// counterexample text and replayed-Fails trace semantics, and the
-// structured run trace / report.
+// worker quarantine, cooperative cancellation, counterexample text and
+// replayed-Fails trace semantics, and the structured run trace / report.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -353,91 +352,6 @@ TEST(ServiceCancel, CancelledRanksBelowErrorAndFails) {
   EXPECT_EQ(worseVerdict(Verdict::Inconclusive, Verdict::Cancelled),
             Verdict::Cancelled);
   EXPECT_STREQ(toString(Verdict::Cancelled), "Cancelled");
-}
-
-// ---------------------------------------------------------------------------
-// Journal integration
-// ---------------------------------------------------------------------------
-
-TEST(ServiceJournal, OutcomesAreJournaledAndServedOnResume) {
-  namespace fs = std::filesystem;
-  const fs::path path = fs::temp_directory_path() / "cmc_service_journal.jsonl";
-  fs::remove(path);
-
-  VerificationJob job;
-  job.name = "twomod";
-  job.smvText = kTwoModuleSmv;
-  job.options.compose = true;
-
-  {
-    VerificationService svc(withThreads(2));
-    RunJournal journal;
-    std::string err;
-    ASSERT_TRUE(journal.open(path.string(), &err)) << err;
-    const JobReport report = svc.run(job, nullptr, &journal);
-    EXPECT_TRUE(report.allHold());
-    EXPECT_EQ(journal.recorded(), report.obligations.size());
-    EXPECT_EQ(report.journalHits, 0u);
-  }
-
-  const JournalReplay replay = loadJournal(path.string());
-  ASSERT_TRUE(replay.found);
-  // 4 outcomes, 3 distinct content fingerprints: mA and mB state the same
-  // spec, so their two composed obligations share one address (and one
-  // journal key) — exactly as in the obligation cache.
-  EXPECT_EQ(replay.lines, 4u);
-  EXPECT_EQ(replay.decided.size(), 3u);
-
-  // The resumed service (fresh process: cold cache) serves every
-  // obligation from the journal without a single checker attempt.
-  ServiceOptions opts = withThreads(2);
-  opts.cacheEnabled = false;
-  VerificationService svc(opts);
-  RunTrace trace;
-  const JobReport resumed = svc.run(job, &trace, nullptr, &replay);
-  EXPECT_TRUE(resumed.allHold());
-  EXPECT_EQ(resumed.journalHits, resumed.obligations.size());
-  for (const ObligationOutcome& o : resumed.obligations) {
-    EXPECT_EQ(o.verdictSource, "journal") << o.id;
-    EXPECT_TRUE(o.attempts.empty()) << o.id;
-    if (o.target == "composed") {
-      EXPECT_FALSE(o.proofJson.empty()) << o.id;
-    }
-  }
-  EXPECT_EQ(trace.countContaining("\"event\": \"journal_hit\""), 4u);
-  EXPECT_EQ(trace.countContaining("\"event\": \"attempt\""), 0u);
-  EXPECT_NE(resumed.toJson().find("\"journal_hits\": 4"), std::string::npos);
-  fs::remove(path);
-}
-
-TEST(ServiceJournal, UndecidedJournalEntriesAreReRun) {
-  namespace fs = std::filesystem;
-  const fs::path path = fs::temp_directory_path() / "cmc_service_rerun.jsonl";
-  fs::remove(path);
-  {
-    // A journal holding only a non-replayable verdict for the obligation.
-    RunJournal journal;
-    std::string err;
-    ASSERT_TRUE(journal.open(path.string(), &err)) << err;
-    JournalEntry e;
-    e.job = "chain";
-    e.id = "chain/chain.SPEC1";
-    e.specText = "AG (s = a | s = b | s = c)";
-    e.verdict = Verdict::Cancelled;
-    journal.record(e);
-  }
-  const JournalReplay replay = loadJournal(path.string());
-  EXPECT_EQ(replay.decided.size(), 0u);
-
-  ServiceOptions opts = withThreads(1);
-  opts.cacheEnabled = false;
-  VerificationService svc(opts);
-  const JobReport report = svc.run(chainJob(), nullptr, nullptr, &replay);
-  EXPECT_TRUE(report.allHold());
-  EXPECT_EQ(report.journalHits, 0u);
-  ASSERT_EQ(report.obligations.size(), 1u);
-  EXPECT_EQ(report.obligations.front().verdictSource, "checked");
-  fs::remove(path);
 }
 
 // ---------------------------------------------------------------------------

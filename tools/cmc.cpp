@@ -17,8 +17,10 @@
 // drain-and-exit-0.  `cmc submit` is the matching client.
 // Every job writes a JSONL event trace and a summary JSON report (schema in
 // README.md) next to its model — override the destinations with --trace and
-// --report.  A crash-safe run journal records every outcome as it is
-// decided; `cmc check --resume` replays it after a crash or interrupt.
+// --report.  With --cache-dir every decided verdict is appended to a
+// crash-safe disk store the moment it is decided; running the same command
+// again after a crash or interrupt serves those verdicts and checks the
+// rest.
 //
 //   cmc check --compose --deadline-ms 5000 --node-budget 2000000
 //             --report out.json models/*.smv          (one command line)
@@ -97,7 +99,7 @@ cmc check options:
                        partitioned  symbolic fixpoints, partitioned relation
                        monolithic   symbolic fixpoints, materialized product
   --no-retry         disable the budget-exhaustion retry on the other engine
-  --trace-force      re-check a cache/journal-replayed Fails that stored no
+  --trace-force      re-check a cache-replayed Fails that stored no
                      counterexample, so the report carries a trace
   --deadline-ms N    per-attempt wall-clock deadline in milliseconds
   --node-budget N    per-attempt budget of live BDD nodes
@@ -106,19 +108,14 @@ cmc check options:
   --threads N        worker threads (default: hardware concurrency)
   --cache-dir DIR    persist decided verdicts to DIR/obligations.jsonl and
                      reload them on start-up, so a re-run of an unchanged
-                     model serves its verdicts from the cache
-  --no-cache         disable the content-addressed obligation cache
+                     model serves its verdicts from the cache; this is also
+                     how an interrupted run resumes
+  --no-cache         disable the content-addressed obligation cache (a usage
+                     error together with --cache-dir)
   --report PATH      write one combined summary JSON to PATH
                      (default: <model>.report.json next to each model)
   --trace PATH       write one combined JSONL event trace to PATH
                      (default: <model>.trace.jsonl next to each model)
-  --journal PATH     crash-safe run journal: every outcome is appended (and
-                     flushed) the moment it is decided (default: alongside
-                     the report — <report>.journal.jsonl with --report, else
-                     <first model>.journal.jsonl)
-  --no-journal       disable the run journal
-  --resume           load the journal and serve the obligations it already
-                     decided (verdict_source "journal"); re-run the rest
   --failpoint S=A    arm fault-injection site S with action A (error, throw,
                      delay(ms), 1in(n)); repeatable; needs a build with
                      -DCMC_FAILPOINTS=ON (the CMC_FAILPOINTS env var takes
@@ -141,10 +138,9 @@ cmc serve options:
   --metrics-interval-ms N
                      period of the "metrics" JSONL trace event (default
                      10000; 0 = off)
-  plus, as in check: --threads --cache-dir --no-cache --journal --resume
-  --trace --failpoint, and the job-option defaults (--compose --learn
-  --engine --no-retry --trace-force --deadline-ms --node-budget --cluster
-  --reorder), which
+  plus, as in check: --threads --cache-dir --no-cache --trace --failpoint,
+  and the job-option defaults (--compose --learn --engine --no-retry
+  --trace-force --deadline-ms --node-budget --cluster --reorder), which
   requests overlay per CHECK.  SIGTERM/SIGINT (or a DRAIN command) drains:
   in-flight requests finish and respond, new CHECKs get DRAINING, then the
   server exits 0.
@@ -221,9 +217,15 @@ cmc cache compact options:
 exit codes: 0 completed (all hold under --strict); 1 --strict and a spec
 fails; 2 usage/I-O/model error; 3 --strict and Timeout/MemoryOut;
 4 --strict and Inconclusive; 5 Error verdict; 6 submit refused
-(BUSY/DRAINING); 130/143 interrupted (SIGINT/SIGTERM; journal, trace and
-report hold the partial results)
+(BUSY/DRAINING); 130/143 interrupted (SIGINT/SIGTERM; trace and report
+hold the partial results; re-run with the same --cache-dir to finish)
 )";
+
+/// --cache-dir names the only durable verdict record; --no-cache would
+/// silently drop it, so `check` and `serve` refuse the combination.
+constexpr const char* kNoCacheWithDir =
+    "--no-cache and --cache-dir contradict each other (the store is the "
+    "run's durable record); drop one\n";
 
 struct CliOptions {
   service::JobOptions job;
@@ -231,10 +233,7 @@ struct CliOptions {
   std::string reportPath;
   std::string tracePath;
   std::string cacheDir;
-  std::string journalPath;
   bool cacheEnabled = true;
-  bool journalEnabled = true;
-  bool resume = false;
   bool strict = false;
   bool quiet = false;
   std::vector<std::string> models;
@@ -244,7 +243,8 @@ struct CliOptions {
 /// Set by the SIGINT/SIGTERM handler; polled by the scheduler (via
 /// ServiceOptions::cancelFlag) and by the checker's cancel hook, so a batch
 /// winds down cooperatively: running attempts abort as Cancelled, queued
-/// obligations drain, and everything decided so far is already journaled.
+/// obligations drain, and everything decided so far is already in the
+/// --cache-dir store.
 std::atomic<bool> gCancelRequested{false};
 std::atomic<int> gSignal{0};
 
@@ -359,14 +359,6 @@ int parseArgs(int argc, char** argv, CliOptions* cli) {
       cli->cacheDir = v;
     } else if (arg == "--no-cache") {
       cli->cacheEnabled = false;
-    } else if (arg == "--journal") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cli->journalPath = v;
-    } else if (arg == "--no-journal") {
-      cli->journalEnabled = false;
-    } else if (arg == "--resume") {
-      cli->resume = true;
     } else if (arg == "--failpoint") {
       const char* v = next();
       if (v == nullptr) return 2;
@@ -382,24 +374,11 @@ int parseArgs(int argc, char** argv, CliOptions* cli) {
     std::cerr << "cmc: no model files given\n" << kUsage;
     return 2;
   }
-  if (cli->resume && !cli->journalEnabled) {
-    std::cerr << "cmc: --resume needs the journal (drop --no-journal)\n";
+  if (!cli->cacheEnabled && !cli->cacheDir.empty()) {
+    std::cerr << "cmc: " << kNoCacheWithDir;
     return 2;
   }
   return 0;
-}
-
-/// The journal lives alongside the report: next to the combined report
-/// when --report is given, else next to the first model.
-std::string defaultJournalPath(const CliOptions& cli) {
-  if (!cli.reportPath.empty()) {
-    std::string base = cli.reportPath;
-    if (base.size() > 5 && base.ends_with(".json")) {
-      base.resize(base.size() - 5);
-    }
-    return base + ".journal.jsonl";
-  }
-  return siblingPath(cli.models.front(), ".journal.jsonl");
 }
 
 bool writeFile(const std::string& path, const std::string& content) {
@@ -496,33 +475,6 @@ int runCheck(const CliOptions& cli) {
   }
   service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
 
-  // Journal: load the prior run first (--resume), then open the same file
-  // for append — replayed outcomes are not re-recorded, new ones extend it.
-  const std::string journalPath =
-      !cli.journalPath.empty() ? cli.journalPath : defaultJournalPath(cli);
-  service::JournalReplay replay;
-  if (cli.resume) {
-    replay = service::loadJournal(journalPath);
-    if (!replay.found) {
-      std::cerr << "cmc: no journal at " << journalPath
-                << "; nothing to resume, running everything\n";
-    } else {
-      std::cout << "== resume: " << replay.decided.size()
-                << " decided obligation(s) in " << journalPath;
-      if (replay.corrupt > 0) {
-        std::cout << ", " << replay.corrupt << " corrupt line(s) skipped";
-      }
-      std::cout << " ==\n";
-    }
-  }
-  service::RunJournal journal;
-  if (cli.journalEnabled) {
-    std::string jerr;
-    if (!journal.open(journalPath, &jerr)) {
-      std::cerr << "cmc: " << jerr << "; continuing without a journal\n";
-    }
-  }
-
   // From here on an interrupt must wind the batch down, not kill it: the
   // handler raises the cancel flag the scheduler and checker poll.
   std::signal(SIGINT, onSignal);
@@ -532,18 +484,14 @@ int runCheck(const CliOptions& cli) {
   if (cli.job.learn) {
     // Learned runs drive the service job by job: each spec spawns its own
     // query obligations through svc (cached and budgeted as usual), so the
-    // batch pool interleaving buys nothing here.  The run journal does not
-    // cover learned composed obligations — their outcomes are derived from
-    // many query jobs, not one recordable attempt.
+    // batch pool interleaving buys nothing here.
     reports.reserve(jobs.size());
     for (const service::VerificationJob& job : jobs) {
       reports.push_back(
           agr::runLearnedJob(svc, job, agr::LearnOptions{}, &trace));
     }
   } else {
-    reports = svc.runBatch(jobs, &trace,
-                           journal.isOpen() ? &journal : nullptr,
-                           cli.resume ? &replay : nullptr);
+    reports = svc.runBatch(jobs, &trace);
   }
 
   std::signal(SIGINT, SIG_DFL);
@@ -598,21 +546,11 @@ int runCheck(const CliOptions& cli) {
     }
     std::cout << " (" << cache->size() << " entries) ==\n";
   }
-  if (journal.isOpen()) {
-    std::uint64_t served = 0;
-    for (const service::JobReport& report : reports) {
-      served += report.journalHits;
-    }
-    std::cout << "== journal: " << journal.recorded()
-              << " outcome(s) recorded";
-    if (cli.resume) std::cout << ", " << served << " served from the journal";
-    std::cout << " (" << journal.path() << ") ==\n";
-  }
 
   if (const int sig = gSignal.load(std::memory_order_relaxed); sig != 0) {
     std::cerr << "cmc: interrupted by signal " << sig
-              << "; partial results are in the journal, trace and report — "
-                 "re-run with --resume to finish\n";
+              << "; partial results are in the trace and report — "
+                 "re-run with the same --cache-dir to finish\n";
     return 128 + sig;
   }
   // An Error verdict (failed elaboration, or an exception that survived
@@ -634,10 +572,8 @@ struct ServeOptions {
   net::ServerOptions server;
   unsigned threads = 0;
   std::string cacheDir;
-  std::string journalPath;
   std::string tracePath;
   bool cacheEnabled = true;
-  bool resume = false;
   std::vector<std::string> failpoints;
 };
 
@@ -687,12 +623,6 @@ int parseServeArgs(int argc, char** argv, ServeOptions* opts) {
       opts->cacheDir = v;
     } else if (arg == "--no-cache") {
       opts->cacheEnabled = false;
-    } else if (arg == "--journal") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->journalPath = v;
-    } else if (arg == "--resume") {
-      opts->resume = true;
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return 2;
@@ -729,8 +659,8 @@ int parseServeArgs(int argc, char** argv, ServeOptions* opts) {
     std::cerr << "cmc serve: --socket PATH is required\n";
     return 2;
   }
-  if (opts->resume && opts->journalPath.empty()) {
-    std::cerr << "cmc serve: --resume needs --journal PATH\n";
+  if (!opts->cacheEnabled && !opts->cacheDir.empty()) {
+    std::cerr << "cmc serve: " << kNoCacheWithDir;
     return 2;
   }
   return 0;
@@ -760,25 +690,7 @@ int runServe(const ServeOptions& opts) {
   }
   service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
 
-  service::JournalReplay replay;
-  if (opts.resume) {
-    replay = service::loadJournal(opts.journalPath);
-    if (replay.found) {
-      std::cout << "cmc serve: resuming " << replay.decided.size()
-                << " decided obligation(s) from " << opts.journalPath << "\n";
-    }
-  }
-  service::RunJournal journal;
-  if (!opts.journalPath.empty()) {
-    std::string jerr;
-    if (!journal.open(opts.journalPath, &jerr)) {
-      std::cerr << "cmc serve: " << jerr << "; continuing without a journal\n";
-    }
-  }
-
-  net::Server server(opts.server, svc, metrics, trace,
-                     journal.isOpen() ? &journal : nullptr,
-                     opts.resume && replay.found ? &replay : nullptr);
+  net::Server server(opts.server, svc, metrics, trace);
   std::string err;
   if (!server.start(&err)) {
     std::cerr << "cmc serve: " << err << "\n";
@@ -813,11 +725,7 @@ int runServe(const ServeOptions& opts) {
             << " check(s) completed, "
             << metrics.counterValue("checks_rejected_busy") << " busy, "
             << metrics.counterValue("checks_rejected_draining")
-            << " refused draining";
-  if (journal.isOpen()) {
-    std::cout << "; " << journal.recorded() << " outcome(s) journaled";
-  }
-  std::cout << std::endl;
+            << " refused draining" << std::endl;
   // Drain-and-exit is the *orderly* path, signal or not: exit 0.
   return 0;
 }
