@@ -5,7 +5,7 @@
 #   scripts/chaos.sh [path/to/cmc]
 #
 # Needs a cmc built with -DCMC_FAILPOINTS=ON (default: build-chaos/tools/cmc).
-# Two phases, both against models/afs2_composed.smv (12 obligations, all of
+# Three phases, all against models/afs2_composed.smv (12 obligations, all of
 # which hold on a healthy run):
 #
 #  1. Sweep: every registered failpoint site is armed with `error` and with
@@ -35,23 +35,6 @@
 #     verdict for verdict, to the clean run's — with the already-decided
 #     obligations served from the store, never re-checked from scratch.
 #     Then SIGTERM must drain it with exit 0.
-#
-#  4. Cluster shard loss: a coordinator fronts three dispatch-delayed
-#     shards; one shard is SIGKILLed mid-batch while its obligations are
-#     in flight.  The coordinator must mark it down, re-dispatch its
-#     obligations along their rendezvous order, and still hand the client
-#     a report identical, verdict for verdict, to the single-daemon clean
-#     run — the client never sees the crash.
-#
-#  5. Shard death and rejoin with the replica tier (RF=2): a shard that
-#     already decided part of a cold batch is SIGKILLed late in the
-#     batch.  The client still succeeds; a warm resubmission while the
-#     shard is down must be served entirely from caches — the dead
-#     shard's decided keys by its rendezvous successor's replica, never
-#     re-checked.  Then the same shard (same socket, same cache dir) is
-#     restarted and JOINed back in — no coordinator restart — and after
-#     probation the warm run matches the clean verdicts with work
-#     attributed to the rejoined shard again.
 set -u
 
 CMC=${1:-build-chaos/tools/cmc}
@@ -236,191 +219,5 @@ wait "$SRV" || rc=$?
 [ "$rc" -eq 0 ] || fail "daemon exited $rc on SIGTERM: $(cat "$WORK/srv.log")"
 [ ! -S "$SOCK" ] || fail "socket not unlinked on drain"
 note "daemon drained cleanly after the chaos (exit 0)"
-
-# ---------------------------------------------------------------------------
-# Phase 4: SIGKILL one shard of a cluster mid-batch
-# ---------------------------------------------------------------------------
-# Every obligation takes >= 1 s on a shard, so a kill 0.8 s into the batch
-# is guaranteed to catch the victim's obligations either in flight (the
-# transport error path) or still queued (the connect-failure path); both
-# must end in a re-dispatch, never in a client-visible error.
-for i in 1 2 3; do
-  "$CMC" serve --socket "$WORK/cs$i.sock" --threads 2 \
-    --failpoint "scheduler.dispatch=delay(1000)" \
-    > "$WORK/cs$i.log" 2>&1 &
-  eval "CS$i=$!"
-done
-for i in 1 2 3; do
-  for _ in $(seq 100); do
-    "$CMC" submit --socket "$WORK/cs$i.sock" --status > /dev/null 2>&1 && break
-    sleep 0.1
-  done
-done
-cat > "$WORK/topology.jsonl" <<EOF
-{"name": "s1", "socket": "$WORK/cs1.sock"}
-{"name": "s2", "socket": "$WORK/cs2.sock"}
-{"name": "s3", "socket": "$WORK/cs3.sock"}
-EOF
-"$CMC" coordinator --socket "$WORK/coord.sock" \
-  --topology "$WORK/topology.jsonl" \
-  --probe-interval-ms 200 --fail-threshold 1 > "$WORK/coord.log" 2>&1 &
-COORD=$!
-for _ in $(seq 100); do
-  "$CMC" submit --socket "$WORK/coord.sock" --status > /dev/null 2>&1 && break
-  sleep 0.1
-done
-
-"$CMC" submit --socket "$WORK/coord.sock" --id doomed-shard --compose \
-  --report "$WORK/cluster.json" "$MODEL" > "$WORK/cluster.log" 2>&1 &
-client=$!
-sleep 0.8
-kill -9 "$CS2" 2>/dev/null || fail "shard s2 died before the SIGKILL"
-wait "$CS2" 2>/dev/null
-note "SIGKILLed shard s2 (pid $CS2) mid-batch"
-
-wait "$client" \
-  || fail "client failed although the ring survived: $(cat "$WORK/cluster.log")"
-verdicts "$WORK/cluster.json" > "$WORK/cluster.verdicts"
-diff -u "$WORK/clean.verdicts" "$WORK/cluster.verdicts" \
-  || fail "cluster report differs from the single-daemon clean run"
-grep -q '"shard": "s2"' "$WORK/cluster.json" \
-  && fail "an outcome is attributed to the killed shard"
-
-"$CMC" submit --socket "$WORK/coord.sock" --status > "$WORK/coord-status.json" 2>&1
-grep -q '"shards_up": 2' "$WORK/coord-status.json" \
-  || fail "killed shard not marked down: $(cat "$WORK/coord-status.json")"
-"$CMC" submit --socket "$WORK/coord.sock" --stats > "$WORK/coord-stats.txt" 2>&1
-redispatched=$(awk '$1 == "cluster_redispatches" { print $2 }' "$WORK/coord-stats.txt")
-[ -n "$redispatched" ] && [ "$redispatched" -ge 1 ] \
-  || fail "no re-dispatch recorded after the shard kill"
-note "cluster survived the shard kill: verdicts match clean, $redispatched re-dispatched"
-
-kill -TERM "$COORD"
-rc=0
-wait "$COORD" || rc=$?
-[ "$rc" -eq 0 ] || fail "coordinator exited $rc on SIGTERM: $(cat "$WORK/coord.log")"
-for pid in "$CS1" "$CS3"; do
-  kill -TERM "$pid" 2>/dev/null
-  wait "$pid" 2>/dev/null
-done
-note "cluster drained cleanly after the chaos"
-
-# ---------------------------------------------------------------------------
-# Phase 5: shard death mid-batch, replica-served warm run, live rejoin
-# ---------------------------------------------------------------------------
-# Fresh fleet, this time with per-shard cache dirs so the RF=2 replica
-# tier has somewhere to land.  The kill comes at 1.5 s: with a 1 s
-# dispatch delay and 2 threads per shard, the victim has decided its
-# first wave (so there ARE replicas of its verdicts) but not its last.
-for i in 1 2 3; do
-  "$CMC" serve --socket "$WORK/r$i.sock" --threads 2 \
-    --cache-dir "$WORK/rcache$i" \
-    --failpoint "scheduler.dispatch=delay(1000)" \
-    > "$WORK/r$i.log" 2>&1 &
-  eval "RS$i=$!"
-done
-for i in 1 2 3; do
-  for _ in $(seq 100); do
-    "$CMC" submit --socket "$WORK/r$i.sock" --status > /dev/null 2>&1 && break
-    sleep 0.1
-  done
-done
-cat > "$WORK/rtopology.jsonl" <<EOF
-{"name": "s1", "socket": "$WORK/r1.sock"}
-{"name": "s2", "socket": "$WORK/r2.sock"}
-{"name": "s3", "socket": "$WORK/r3.sock"}
-EOF
-"$CMC" coordinator --socket "$WORK/rcoord.sock" \
-  --topology "$WORK/rtopology.jsonl" \
-  --probe-interval-ms 200 --fail-threshold 1 > "$WORK/rcoord.log" 2>&1 &
-RCOORD=$!
-for _ in $(seq 100); do
-  "$CMC" submit --socket "$WORK/rcoord.sock" --status > /dev/null 2>&1 && break
-  sleep 0.1
-done
-
-"$CMC" submit --socket "$WORK/rcoord.sock" --id replica-cold --compose \
-  --report "$WORK/rcold.json" "$MODEL" > "$WORK/rcold.log" 2>&1 &
-client=$!
-sleep 1.5
-kill -9 "$RS3" 2>/dev/null || fail "shard s3 died before the SIGKILL"
-wait "$RS3" 2>/dev/null
-note "SIGKILLed shard s3 (pid $RS3) mid-batch, after its first wave"
-
-wait "$client" \
-  || fail "client failed although the ring survived: $(cat "$WORK/rcold.log")"
-verdicts "$WORK/rcold.json" > "$WORK/rcold.verdicts"
-diff -u "$WORK/clean.verdicts" "$WORK/rcold.verdicts" \
-  || fail "cold report differs from the clean run"
-vdecided=$(grep -o '"shard": "s3"' "$WORK/rcold.json" | wc -l)
-[ "$vdecided" -ge 1 ] \
-  || fail "the victim decided nothing before the kill (kill came too early)"
-
-# Warm resubmission with the victim down: every verdict must come from a
-# cache — the victim's own decided keys from its successor's replica.
-"$CMC" submit --socket "$WORK/rcoord.sock" --id replica-warm --compose \
-  --report "$WORK/rwarm.json" "$MODEL" > "$WORK/rwarm.log" 2>&1 \
-  || fail "warm submission failed: $(cat "$WORK/rwarm.log")"
-hits=$(grep -o '"verdict_source": "cache"' "$WORK/rwarm.json" | wc -l)
-[ "$hits" -eq "$TOTAL" ] || fail "warm run: only $hits of $TOTAL from cache"
-grep -q '"verdict_source": "checked"' "$WORK/rwarm.json" \
-  && fail "warm run re-checked an obligation while the victim was down"
-grep -q '"shard": "s3"' "$WORK/rwarm.json" \
-  && fail "an outcome is attributed to the dead shard"
-"$CMC" submit --socket "$WORK/rcoord.sock" --stats > "$WORK/rcoord-stats.txt" 2>&1
-rputs=$(awk '$1 == "cluster_replica_puts" { print $2 }' "$WORK/rcoord-stats.txt")
-[ -n "$rputs" ] && [ "$rputs" -ge 1 ] \
-  || fail "no replica write-through recorded"
-note "replica tier: victim's $vdecided decided verdicts survived it ($rputs replica puts)"
-
-# Same shard, same socket, same cache dir — and JOIN readmits it without
-# touching the coordinator.  A rejoin starts in probation (the 200 ms
-# probe loop may readmit it before the JOIN lands; both are fine).
-"$CMC" serve --socket "$WORK/r3.sock" --threads 2 \
-  --cache-dir "$WORK/rcache3" >> "$WORK/r3.log" 2>&1 &
-RS3=$!
-for _ in $(seq 100); do
-  "$CMC" submit --socket "$WORK/r3.sock" --status > /dev/null 2>&1 && break
-  sleep 0.1
-done
-rc=0
-"$CMC" submit --socket "$WORK/rcoord.sock" --join s3 \
-  --shard-socket "$WORK/r3.sock" > "$WORK/rejoin.json" 2>&1 || rc=$?
-if [ "$rc" -eq 0 ]; then
-  grep -q '"state": "probation"' "$WORK/rejoin.json" \
-    || fail "rejoin not in probation: $(cat "$WORK/rejoin.json")"
-else
-  grep -q "already" "$WORK/rejoin.json" \
-    || fail "rejoin failed: $(cat "$WORK/rejoin.json")"
-fi
-for _ in $(seq 100); do
-  "$CMC" submit --socket "$WORK/rcoord.sock" --status > "$WORK/rstatus.json" 2>/dev/null
-  grep -q '"shards_up": 3' "$WORK/rstatus.json" && break
-  sleep 0.2
-done
-grep -q '"shards_up": 3' "$WORK/rstatus.json" \
-  || fail "rejoined shard never served out probation: $(cat "$WORK/rstatus.json")"
-
-# With the owner back, its keys route home again: verdicts still match
-# the clean run, and s3 is doing (or serving) its share once more.
-"$CMC" submit --socket "$WORK/rcoord.sock" --id replica-back --compose \
-  --report "$WORK/rback.json" "$MODEL" > "$WORK/rback.log" 2>&1 \
-  || fail "post-rejoin submission failed: $(cat "$WORK/rback.log")"
-verdicts "$WORK/rback.json" > "$WORK/rback.verdicts"
-diff -u "$WORK/clean.verdicts" "$WORK/rback.verdicts" \
-  || fail "post-rejoin report differs from the clean run"
-[ "$(grep -o '"shard": "s3"' "$WORK/rback.json" | wc -l)" -ge 1 ] \
-  || fail "no work routed back to the rejoined shard"
-note "rejoin: s3 back through probation, verdicts match clean"
-
-kill -TERM "$RCOORD"
-rc=0
-wait "$RCOORD" || rc=$?
-[ "$rc" -eq 0 ] || fail "coordinator exited $rc on SIGTERM: $(cat "$WORK/rcoord.log")"
-for pid in "$RS1" "$RS2" "$RS3"; do
-  kill -TERM "$pid" 2>/dev/null
-  wait "$pid" 2>/dev/null
-done
-note "replica fleet drained cleanly"
 
 note "PASS"

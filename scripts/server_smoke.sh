@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Server-mode smoke: one daemon, concurrent submissions, a warm-cache
-# resubmission, metrics consistency, and a SIGTERM drain.
+# resubmission, metrics consistency, a SIGTERM drain, offline compaction
+# of the store it leaves, and the submit retry backoff against BUSY.
 #
 #   scripts/server_smoke.sh [path/to/cmc]
 #
@@ -18,6 +19,14 @@
 #   5. SIGTERM must drain: the daemon exits 0, reports the drain on
 #      stdout, unlinks its socket, and leaves the decided verdicts in its
 #      cache-dir store.
+#   6. `cmc cache compact` over that store: idempotent (a second pass drops
+#      nothing), sizes reported, and the store still loads — a daemon
+#      restarted on it serves the AFS-2 resubmission entirely from cache.
+#   7. Submit retry: with that daemon at --max-inflight 1 --queue-depth 0
+#      and its one slot held by a slow check, a submit fails fast with
+#      exit 6 and no retries; `--max-retries 2` retries twice with backoff
+#      and then exits 6.  The slow check is cancelled and the daemon
+#      drains with exit 0.
 set -u
 
 CMC=${1:-build/tools/cmc}
@@ -120,5 +129,99 @@ grep -q "drained" "$WORK/serve.log" || fail "no drain summary in the serve log"
 [ ! -S "$SOCK" ] || fail "socket not unlinked on shutdown"
 [ -s "$WORK/cache/obligations.jsonl" ] || fail "no cache store written"
 note "SIGTERM drained cleanly (exit 0)"
+
+# ---------------------------------------------------------------------------
+# 6. Offline compaction keeps the store loadable (and warm)
+# ---------------------------------------------------------------------------
+for pass in 1 2; do
+  "$CMC" cache compact --cache-dir "$WORK/cache" > "$WORK/compact$pass.log" 2>&1 \
+    || fail "compaction pass $pass failed: $(cat "$WORK/compact$pass.log")"
+  grep -q "cache compact: .* bytes" "$WORK/compact$pass.log" \
+    || fail "no compaction summary: $(cat "$WORK/compact$pass.log")"
+done
+grep -q "(0 duplicate(s) dropped, 0 corrupt" "$WORK/compact2.log" \
+  || fail "second compaction was not a no-op: $(cat "$WORK/compact2.log")"
+
+"$CMC" serve --socket "$SOCK" --cache-dir "$WORK/cache" \
+  --max-inflight 1 --queue-depth 0 >> "$WORK/serve.log" 2>&1 &
+SRV=$!
+for _ in $(seq 100); do
+  [ -S "$SOCK" ] && break
+  kill -0 "$SRV" 2>/dev/null || fail "daemon died on restart: $(cat "$WORK/serve.log")"
+  sleep 0.1
+done
+[ -S "$SOCK" ] || fail "restarted daemon never bound $SOCK"
+
+"$CMC" submit --socket "$SOCK" --id afs2-compacted --compose \
+  --report "$WORK/afs2-compacted.json" \
+  models/afs2_composed.smv > "$WORK/afs2-compacted.log" 2>&1 \
+  || fail "post-compaction submission failed: $(cat "$WORK/afs2-compacted.log")"
+if grep -q '"verdict_source": "checked"' "$WORK/afs2-compacted.json"; then
+  fail "post-compaction run re-checked an obligation"
+fi
+[ "$(grep -c '"verdict_source": "cache"' "$WORK/afs2-compacted.json")" -eq "$hits" ] \
+  || fail "post-compaction run did not serve all $hits obligations from the store"
+note "compaction: store rewritten, restarted daemon serves all $hits from it"
+
+# ---------------------------------------------------------------------------
+# 7. Submit retry backoff against BUSY
+# ---------------------------------------------------------------------------
+# A saturating 24-bit ripple counter: AG (EF all-ones) holds, but the EF
+# fixpoint takes 2^24 backward steps, so the check holds the daemon's one
+# slot for seconds until it is cancelled.
+bits=24
+carry=b0
+for i in $(seq 1 $((bits - 1))); do carry="$carry & b$i"; done
+{
+  echo "MODULE slow"
+  echo "VAR"
+  for i in $(seq 0 $((bits - 1))); do echo "  b$i : boolean;"; done
+  echo "ASSIGN"
+  echo "  next(b0) := case $carry : b0; 1 : !b0; esac;"
+  below=b0
+  for i in $(seq 1 $((bits - 1))); do
+    echo "  next(b$i) := case $carry : b$i; $below : !b$i; 1 : b$i; esac;"
+    below="$below & b$i"
+  done
+  echo "SPEC AG (EF ($carry))"
+} > "$WORK/slow.smv"
+
+"$CMC" submit --socket "$SOCK" --id slow "$WORK/slow.smv" \
+  > "$WORK/slow.log" 2>&1 &
+SLOW=$!
+for _ in $(seq 100); do
+  "$CMC" submit --socket "$SOCK" --status 2>/dev/null | grep -q '"phase": "running"' && break
+  sleep 0.1
+done
+"$CMC" submit --socket "$SOCK" --status 2>/dev/null | grep -q '"phase": "running"' \
+  || fail "the slow check never started"
+
+rc=0
+"$CMC" submit --socket "$SOCK" --id fast models/afs1_composed.smv \
+  > "$WORK/fastfail.log" 2>&1 || rc=$?
+[ "$rc" -eq 6 ] || fail "fail-fast BUSY submit exited $rc, want 6: $(cat "$WORK/fastfail.log")"
+grep -Eq "retry [0-9]+/" "$WORK/fastfail.log" && fail "retried without --max-retries"
+
+rc=0
+"$CMC" submit --socket "$SOCK" --id retried --max-retries 2 --retry-ms 50 \
+  models/afs1_composed.smv > "$WORK/retry.log" 2>&1 || rc=$?
+[ "$rc" -eq 6 ] || fail "retried BUSY submit exited $rc, want 6: $(cat "$WORK/retry.log")"
+[ "$(grep -Ec "retry [0-9]+/" "$WORK/retry.log")" -eq 2 ] \
+  || fail "expected 2 retry attempts: $(cat "$WORK/retry.log")"
+note "submit retry: fail-fast without the flag, 2 backoff retries with it"
+
+"$CMC" submit --socket "$SOCK" --cancel slow > /dev/null 2>&1 \
+  || fail "could not cancel the slow check"
+rc=0
+wait "$SLOW" || rc=$?
+[ "$rc" -eq 0 ] || fail "cancelled submit exited $rc: $(cat "$WORK/slow.log")"
+grep -q "Cancelled" "$WORK/slow.log" || fail "slow check was not cancelled: $(cat "$WORK/slow.log")"
+
+kill -TERM "$SRV"
+rc=0
+wait "$SRV" || rc=$?
+SRV=
+[ "$rc" -eq 0 ] || fail "restarted daemon exited $rc on SIGTERM: $(cat "$WORK/serve.log")"
+note "slow check cancelled; restarted daemon drained cleanly (exit 0)"
 
 note "PASS"

@@ -9,6 +9,7 @@
 // encoding of §3.4 happens inside the symbolic checker).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -42,19 +43,24 @@ class Formula {
  public:
   Formula(Op op, std::string atom, FormulaPtr lhs, FormulaPtr rhs)
       : op_(op), atom_(std::move(atom)), lhs_(std::move(lhs)),
-        rhs_(std::move(rhs)) {}
+        rhs_(std::move(rhs)),
+        depth_(1 + std::max(lhs_ ? lhs_->depth() : 0,
+                            rhs_ ? rhs_->depth() : 0)) {}
 
   Op op() const noexcept { return op_; }
   /// Atom text ("x" or "var=value"); empty unless op() == Op::Atom.
   const std::string& atom() const noexcept { return atom_; }
   const FormulaPtr& lhs() const noexcept { return lhs_; }
   const FormulaPtr& rhs() const noexcept { return rhs_; }
+  /// Tree depth: 1 + the deeper operand (1 for leaves).
+  std::size_t depth() const noexcept { return depth_; }
 
  private:
   Op op_;
   std::string atom_;
   FormulaPtr lhs_;
   FormulaPtr rhs_;
+  std::size_t depth_;
 };
 
 // ---- Constructors ----------------------------------------------------------

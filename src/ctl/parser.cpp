@@ -22,10 +22,12 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void fail(const std::string& what) const {
+  [[noreturn]] void fail(const std::string& what) const { failAt(pos_, what); }
+
+  [[noreturn]] void failAt(std::size_t at, const std::string& what) const {
     int line = 1;
     int col = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    for (std::size_t i = 0; i < at && i < text_.size(); ++i) {
       if (text_[i] == '\n') {
         ++line;
         col = 1;
@@ -34,6 +36,43 @@ class Parser {
       }
     }
     throw ParseError(what, line, col);
+  }
+
+  /// One level of recursive descent (a parenthesized group, an until
+  /// operand, a prefix operator, the right side of `->`).  Refuses to nest
+  /// deeper than kMaxExprDepth, so `((((...))))` is a parse error, not a
+  /// stack overflow.
+  class Nested {
+   public:
+    explicit Nested(Parser& p) : p_(p) {
+      if (++p_.nesting_ > kMaxExprDepth) {
+        p_.fail("formula nests deeper than " +
+                std::to_string(kMaxExprDepth) + " levels");
+      }
+    }
+    ~Nested() { --p_.nesting_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  /// Refuse a freshly built node deeper than kMaxExprDepth (flat `a & a &
+  /// ...` chains are parsed iteratively but still build deep trees); the
+  /// error points at the node's operator, at offset `at`.
+  FormulaPtr bounded(FormulaPtr f, std::size_t at) const {
+    if (f->depth() > kMaxExprDepth) {
+      failAt(at, "formula is deeper than " + std::to_string(kMaxExprDepth) +
+                     " operators");
+    }
+    return f;
+  }
+
+  /// Offset of the next token (whitespace skipped).
+  std::size_t here() {
+    skipSpace();
+    return pos_;
   }
 
   void skipSpace() {
@@ -91,16 +130,18 @@ class Parser {
 
   FormulaPtr parseIff() {
     FormulaPtr lhs = parseImplies();
-    while (eat("<->")) {
-      lhs = mkIff(lhs, parseImplies());
+    for (std::size_t at = here(); eat("<->"); at = here()) {
+      lhs = bounded(mkIff(lhs, parseImplies()), at);
     }
     return lhs;
   }
 
   FormulaPtr parseImplies() {
     FormulaPtr lhs = parseOr();
+    const std::size_t at = here();
     if (eat("->")) {
-      return mkImplies(lhs, parseImplies());
+      Nested level(*this);
+      return bounded(mkImplies(lhs, parseImplies()), at);
     }
     return lhs;
   }
@@ -108,10 +149,10 @@ class Parser {
   FormulaPtr parseOr() {
     FormulaPtr lhs = parseAnd();
     for (;;) {
-      skipSpace();
+      const std::size_t at = here();
       // '|' but not part of '||' (we accept both spellings).
       if (eat("||") || eat("|")) {
-        lhs = mkOr(lhs, parseAnd());
+        lhs = bounded(mkOr(lhs, parseAnd()), at);
       } else {
         return lhs;
       }
@@ -121,8 +162,9 @@ class Parser {
   FormulaPtr parseAnd() {
     FormulaPtr lhs = parseUnary();
     for (;;) {
+      const std::size_t at = here();
       if (eat("&&") || eat("&")) {
-        lhs = mkAnd(lhs, parseUnary());
+        lhs = bounded(mkAnd(lhs, parseUnary()), at);
       } else {
         return lhs;
       }
@@ -140,20 +182,27 @@ class Parser {
     return true;
   }
 
+  /// The operand of a prefix operator, one Nested level down.
+  FormulaPtr operand() {
+    Nested level(*this);
+    return parseUnary();
+  }
+
   FormulaPtr parseUnary() {
-    skipSpace();
-    if (eat("!")) return mkNot(parseUnary());
-    if (eatKeyword("AX")) return AX(parseUnary());
-    if (eatKeyword("EX")) return EX(parseUnary());
-    if (eatKeyword("AF")) return AF(parseUnary());
-    if (eatKeyword("EF")) return EF(parseUnary());
-    if (eatKeyword("AG")) return AG(parseUnary());
-    if (eatKeyword("EG")) return EG(parseUnary());
-    if (eatKeyword("A")) return parseUntil(/*universal=*/true);
-    if (eatKeyword("E")) return parseUntil(/*universal=*/false);
+    const std::size_t at = here();
+    if (eat("!")) return bounded(mkNot(operand()), at);
+    if (eatKeyword("AX")) return bounded(AX(operand()), at);
+    if (eatKeyword("EX")) return bounded(EX(operand()), at);
+    if (eatKeyword("AF")) return bounded(AF(operand()), at);
+    if (eatKeyword("EF")) return bounded(EF(operand()), at);
+    if (eatKeyword("AG")) return bounded(AG(operand()), at);
+    if (eatKeyword("EG")) return bounded(EG(operand()), at);
+    if (eatKeyword("A")) return parseUntil(/*universal=*/true, at);
+    if (eatKeyword("E")) return parseUntil(/*universal=*/false, at);
     if (eatKeyword("TRUE") || eatKeyword("true")) return mkTrue();
     if (eatKeyword("FALSE") || eatKeyword("false")) return mkFalse();
     if (eat("(")) {
+      Nested level(*this);
       FormulaPtr f = parseIff();
       if (!eat(")")) fail("expected ')'");
       return f;
@@ -167,13 +216,14 @@ class Parser {
     return parseAtom();
   }
 
-  FormulaPtr parseUntil(bool universal) {
+  FormulaPtr parseUntil(bool universal, std::size_t at) {
     if (!eat("[")) fail("expected '[' after path quantifier");
+    Nested level(*this);
     FormulaPtr lhs = parseIff();
     if (!eatKeyword("U")) fail("expected 'U' in until formula");
     FormulaPtr rhs = parseIff();
     if (!eat("]")) fail("expected ']'");
-    return universal ? AU(lhs, rhs) : EU(lhs, rhs);
+    return bounded(universal ? AU(lhs, rhs) : EU(lhs, rhs), at);
   }
 
   FormulaPtr parseAtom() {
@@ -192,6 +242,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t nesting_ = 0;  ///< open Nested levels
 };
 
 }  // namespace

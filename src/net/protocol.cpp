@@ -16,19 +16,14 @@ const char* toString(Command c) noexcept {
     case Command::Stats: return "STATS";
     case Command::Cancel: return "CANCEL";
     case Command::Drain: return "DRAIN";
-    case Command::Topology: return "TOPOLOGY";
-    case Command::Join: return "JOIN";
-    case Command::Leave: return "LEAVE";
-    case Command::CachePut: return "CACHE_PUT";
   }
   return "?";
 }
 
 bool commandFromString(std::string_view text, Command* out) noexcept {
-  static constexpr Command kAll[] = {
-      Command::Check, Command::Status,   Command::Stats,
-      Command::Cancel, Command::Drain,   Command::Topology,
-      Command::Join,   Command::Leave,   Command::CachePut};
+  static constexpr Command kAll[] = {Command::Check, Command::Status,
+                                     Command::Stats, Command::Cancel,
+                                     Command::Drain};
   for (Command c : kAll) {
     if (text == toString(c)) {
       *out = c;
@@ -87,8 +82,7 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
   Request req;
   if (!commandFromString(cmdText, &req.cmd)) {
     *error = "unknown command '" + cmdText +
-             "' (expected CHECK, STATUS, STATS, CANCEL, DRAIN, TOPOLOGY, "
-             "JOIN, LEAVE, or CACHE_PUT)";
+             "' (expected CHECK, STATUS, STATS, CANCEL, or DRAIN)";
     return false;
   }
   req.options = defaults;
@@ -103,6 +97,12 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
         *error = req.model.empty()
                      ? "CHECK needs a 'model' path or inline 'smv' text"
                      : "CHECK takes either 'model' or 'smv', not both";
+        return false;
+      }
+      if (hasKey(line, "only")) {
+        // Refused, not ignored: a peer relying on the retired filter would
+        // otherwise get a silent full run where it expected one obligation.
+        *error = "CHECK field 'only' is no longer supported";
         return false;
       }
       std::uint64_t deadlineMs = 0;
@@ -124,7 +124,6 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
         req.options.limits.deadlineSeconds =
             static_cast<double>(deadlineMs) / 1e3;
       }
-      service::jsonExtractString(line, "only", &req.only);
       bool noRetry = !req.options.retryOtherEngine;
       if (!overlayBool(line, "no_retry", &noRetry, error)) return false;
       req.options.retryOtherEngine = !noRetry;
@@ -146,57 +145,9 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
         return false;
       }
       break;
-    case Command::Join: {
-      service::jsonExtractString(line, "shard", &req.shard);
-      if (req.shard.empty()) {
-        *error = "JOIN needs the roster 'shard' name to add";
-        return false;
-      }
-      service::jsonExtractString(line, "socket", &req.shardSocket);
-      std::uint64_t tcp = 0;
-      if (hasKey(line, "tcp")) {
-        if (!service::jsonExtractUint(line, "tcp", &tcp) || tcp < 1 ||
-            tcp > 65535) {
-          *error = "field 'tcp' must be a port in 1..65535";
-          return false;
-        }
-        req.shardTcp = static_cast<int>(tcp);
-      }
-      if (req.shardSocket.empty() == (req.shardTcp < 0)) {
-        *error = req.shardSocket.empty()
-                     ? "JOIN needs a 'socket' path or a 'tcp' port"
-                     : "JOIN takes either 'socket' or 'tcp', not both";
-        return false;
-      }
-      break;
-    }
-    case Command::Leave:
-      service::jsonExtractString(line, "shard", &req.shard);
-      if (req.shard.empty()) {
-        *error = "LEAVE needs the roster 'shard' name to remove";
-        return false;
-      }
-      break;
-    case Command::CachePut: {
-      service::jsonExtractString(line, "fingerprint", &req.fingerprint);
-      if (req.fingerprint.empty()) {
-        *error = "CACHE_PUT needs the obligation 'fingerprint'";
-        return false;
-      }
-      std::string verdict;
-      service::jsonExtractString(line, "verdict", &verdict);
-      if (verdict != "Holds" && verdict != "Fails") {
-        // Only decided verdicts belong in the cache tier; replicating an
-        // Error would pin a transient failure fleet-wide.
-        *error = "CACHE_PUT 'verdict' must be 'Holds' or 'Fails'";
-        return false;
-      }
-      break;
-    }
     case Command::Status:
     case Command::Stats:
     case Command::Drain:
-    case Command::Topology:
       break;
   }
   *out = std::move(req);

@@ -16,20 +16,8 @@
 //   STATS   {"cmd": "STATS"}
 //   CANCEL  {"cmd": "CANCEL", "id": "r1"}
 //   DRAIN   {"cmd": "DRAIN"}
-//
-// Cluster administration (rev 3; the coordinator answers these, a plain
-// shard refuses them with BAD_REQUEST):
-//   TOPOLOGY {"cmd": "TOPOLOGY"}                 — list the live roster
-//   JOIN     {"cmd": "JOIN", "shard": "s3", "socket": "/run/s3.sock"}
-//            (or "tcp": <port> instead of "socket") — add a shard after a
-//            version/protocol handshake
-//   LEAVE    {"cmd": "LEAVE", "shard": "s3"}     — graceful decommission
-// Replica write-through (rev 3; a *shard* answers this, the coordinator
-// refuses it):
-//   CACHE_PUT {"cmd": "CACHE_PUT", "fingerprint": ..., "verdict":
-//             "Holds"|"Fails", "rule": ..., "engine": ..., "seconds": ...,
-//             "counterexample"?: ..., "proof"?: ...} — insert one decided
-//             verdict into the shard's obligation cache
+// Any other "cmd" is an unknown command (BAD_REQUEST), as is a CHECK that
+// carries the retired single-obligation filter "only".
 //
 // Responses always carry "ok" (bool) and "cmd".  Failures carry "code" —
 // one of BAD_REQUEST, BUSY, DRAINING, NOT_FOUND, INTERNAL — plus a
@@ -58,16 +46,16 @@ constexpr std::size_t kMaxLineBytes = 8u << 20;
 
 /// Wire protocol revision, stamped (with CMC_VERSION) into STATUS and
 /// STATS responses.  Bumped whenever a verb or field changes in a way a
-/// peer must understand — rev 2 added the single-obligation CHECK filter
-/// ("only") the cluster coordinator forwards on; rev 3 added the cluster
-/// admin verbs (TOPOLOGY/JOIN/LEAVE) and the CACHE_PUT replica
-/// write-through; rev 4 removed the "bes" and "race" engine values (now
-/// BAD_REQUEST); rev 5 removed the run-journal hit count from CHECK
-/// responses (resumed verdicts are cache hits).  The coordinator refuses
-/// shards whose revision differs from its own: an old shard would silently
-/// ignore "only" (wrong, not slow), drop replica puts (silently
-/// un-replicated), or accept engines this revision rejects.
-constexpr std::uint64_t kProtocolRevision = 5;
+/// peer must understand — rev 2 added a single-obligation CHECK filter
+/// ("only"); rev 3 added multi-daemon admin verbs and a verb that wrote a
+/// decided verdict into the obligation cache; rev 4 removed the "bes" and
+/// "race" engine values (now BAD_REQUEST); rev 5 removed the run-journal
+/// hit count from CHECK responses (resumed verdicts are cache hits);
+/// rev 6 removed the multi-daemon mode: "only" and the four rev-3 verbs
+/// now answer BAD_REQUEST, and CHECK responses lost their flat
+/// single-obligation fields.  A socket client that can write any verdict
+/// under any fingerprint breaks soundness, so no verb writes the cache.
+constexpr std::uint64_t kProtocolRevision = 6;
 
 /// Error codes of failure responses.
 inline constexpr const char* kBadRequest = "BAD_REQUEST";
@@ -82,10 +70,6 @@ enum class Command {
   Stats,
   Cancel,
   Drain,
-  Topology,
-  Join,
-  Leave,
-  CachePut,
 };
 
 const char* toString(Command c) noexcept;
@@ -97,28 +81,14 @@ struct Request {
   std::string name;   ///< job name (CHECK; defaults from model path / id)
   std::string model;  ///< server-side .smv path (CHECK)
   std::string smv;    ///< inline SMV program text (CHECK)
-  /// CHECK only: restrict the job to the one obligation with this id
-  /// ("<target>/<spec name>").  The cluster coordinator forwards each
-  /// routed obligation as a CHECK with "only"; an id that matches nothing
-  /// yields an Error verdict, not a silent full run.
-  std::string only;
   service::JobOptions options;  ///< seeded from the server defaults
-  // Cluster admin fields (JOIN/LEAVE).
-  std::string shard;        ///< roster name of the shard to add/remove
-  std::string shardSocket;  ///< JOIN: Unix-domain endpoint (or shardTcp)
-  int shardTcp = -1;        ///< JOIN: loopback TCP port (or shardSocket)
-  /// CACHE_PUT: the content fingerprint being written through.  The
-  /// remaining verdict fields (verdict/rule/engine/seconds/
-  /// counterexample/proof) stay in the raw line; the shard extracts them
-  /// with the same parsers the disk store uses.
-  std::string fingerprint;
 };
 
 /// Parse one request line.  `defaults` seeds Request::options; fields
 /// present in the request overlay them.  Returns false with a message on
 /// anything malformed: not a JSON object, unknown/missing cmd, a CHECK
-/// with neither or both of model/smv, a CANCEL without id, or an option
-/// field of the wrong type.
+/// with neither or both of model/smv or with the retired "only" filter, a
+/// CANCEL without id, or an option field of the wrong type.
 bool parseRequest(const std::string& line, const service::JobOptions& defaults,
                   Request* out, std::string* error);
 

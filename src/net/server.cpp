@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -300,18 +301,6 @@ void Server::handleConnection(int fd) {
                                          .put("state", "draining")
                                          .str());
         break;
-      case Command::CachePut:
-        closeAfter = !sock.writeLine(cachePutResponse(req, line));
-        break;
-      case Command::Topology:
-      case Command::Join:
-      case Command::Leave:
-        closeAfter = !sock.writeLine(errorResponse(
-            toString(req.cmd), kBadRequest,
-            std::string(toString(req.cmd)) +
-                " is a cluster admin command; send it to the coordinator, "
-                "not a shard"));
-        break;
     }
   }
   {
@@ -336,7 +325,6 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
 
   service::VerificationJob job;
   job.options = req.options;
-  job.only = req.only;
   if (!req.smv.empty()) {
     job.smvText = req.smv;
     job.sourcePath = "<inline>";
@@ -346,11 +334,25 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
     std::string path = req.model;
     if (!opts_.modelRoot.empty() && !path.empty() && path.front() != '/')
       path = opts_.modelRoot + "/" + path;
-    std::ifstream in(path);
-    if (!in) {
+    // The same cap as inline "smv" text: a device (/dev/zero) or a huge
+    // file would otherwise be read whole into memory.
+    std::string why;
+    struct stat st{};
+    if (::stat(path.c_str(), &st) != 0)
+      why = "cannot open model: " + path;
+    else if (!S_ISREG(st.st_mode))
+      why = "model is not a regular file: " + path;
+    else if (static_cast<std::uint64_t>(st.st_size) > kMaxLineBytes)
+      why = "model exceeds " + std::to_string(kMaxLineBytes) +
+            " bytes: " + path;
+    std::ifstream in;
+    if (why.empty()) {
+      in.open(path);
+      if (!in) why = "cannot open model: " + path;
+    }
+    if (!why.empty()) {
       metrics_.counter("checks_rejected_bad_model").inc();
-      sock.writeLine(
-          errorResponse("CHECK", kBadRequest, "cannot open model: " + path));
+      sock.writeLine(errorResponse("CHECK", kBadRequest, why));
       return;
     }
     std::ostringstream buf;
@@ -461,24 +463,6 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
       .putUint("cache_hits", report.cacheHits)
       .putDouble("queue_wait_seconds", waitSeconds)
       .putDouble("wall_seconds", report.wallSeconds);
-  if (report.obligations.size() == 1) {
-    // Single-obligation responses (the coordinator's "only" forwards)
-    // additionally carry the outcome as flat fields, so the coordinator
-    // merges verdicts without parsing the nested report.  Free-text and
-    // nested-document fields stay last, per the flat-line convention.
-    const service::ObligationOutcome& o = report.obligations.front();
-    resp.put("obligation_id", o.id)
-        .put("verdict_source", o.verdictSource)
-        .put("rule", o.rule)
-        .putDouble("obligation_seconds", o.seconds);
-    if (!o.fingerprint.empty()) resp.put("fingerprint", o.fingerprint);
-    if (!o.attempts.empty()) resp.put("engine", o.attempts.back().engine);
-    if (!o.engineChoiceJson.empty())
-      resp.put("engine_choice", o.engineChoiceJson);
-    if (!o.error.empty()) resp.put("obligation_error", o.error);
-    if (!o.counterexample.empty()) resp.put("counterexample", o.counterexample);
-    if (!o.proofJson.empty()) resp.put("proof", o.proofJson);
-  }
   // Full report as an escaped string, last so flat extraction of the
   // summary fields above never reads into the nested document.
   resp.put("report", report.toJson());
@@ -541,8 +525,6 @@ std::string Server::statsResponse() {
       .put("cmc_version", util::versionString())
       .putUint("protocol_rev", kProtocolRevision)
       .putDouble("uptime_seconds", uptime_.seconds())
-      // Flat per-shard load/latency fields the cluster coordinator
-      // aggregates into its fleet-wide STATS view.
       .putUint("workers", svc_.threads())
       .putUint("in_flight", inFlight())
       .putUint("queued", queued())
@@ -602,47 +584,6 @@ std::string Server::cancelResponse(const Request& req) {
       .put("id", req.id)
       .putBool("delivered", true)
       .put("phase", wasRunning ? "running" : "queued")
-      .str();
-}
-
-std::string Server::cachePutResponse(const Request& req,
-                                     const std::string& line) {
-  service::ObligationCache* cache = svc_.cache();
-  if (cache == nullptr) {
-    return errorResponse("CACHE_PUT", kBadRequest,
-                         "the obligation cache is disabled on this shard");
-  }
-  service::CachedVerdict v;
-  std::string verdict;
-  service::jsonExtractString(line, "verdict", &verdict);
-  v.verdict = verdict == "Fails" ? service::Verdict::Fails
-                                 : service::Verdict::Holds;
-  service::jsonExtractString(line, "rule", &v.rule);
-  service::jsonExtractString(line, "engine", &v.engine);
-  service::jsonExtractDouble(line, "seconds", &v.seconds);
-  service::jsonExtractString(line, "counterexample", &v.counterexample);
-  service::jsonExtractString(line, "proof", &v.proofJson);
-  // insert() returns false both for a genuinely uncacheable verdict and
-  // for a fingerprint it already held (it updates in place); only the
-  // former is an error.  Duplicate puts are routine — every warm run
-  // re-replicates its decided obligations.
-  const bool hadIt = cache->lookup(req.fingerprint).has_value();
-  if (!cache->insert(req.fingerprint, v) && !hadIt) {
-    return errorResponse("CACHE_PUT", kInternal,
-                         "cache refused the verdict (not cacheable)");
-  }
-  metrics_.counter("cache_replica_puts").inc();
-  trace_.emit(service::JsonObject()
-                  .put("event", "cache_replica_put")
-                  .putDouble("t", trace_.elapsedSeconds())
-                  .put("fingerprint", req.fingerprint)
-                  .put("verdict", verdict)
-                  .putBool("fresh", !hadIt));
-  return service::JsonObject()
-      .putBool("ok", true)
-      .put("cmd", "CACHE_PUT")
-      .put("fingerprint", req.fingerprint)
-      .putBool("inserted", !hadIt)
       .str();
 }
 

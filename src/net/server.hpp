@@ -133,10 +133,6 @@ class Server {
   std::string statusResponse();
   std::string statsResponse();
   std::string cancelResponse(const Request& req);
-  /// CACHE_PUT: insert one decided verdict into the obligation cache (the
-  /// cluster coordinator's replica write-through).  Needs the raw request
-  /// line — the verdict payload fields ride it, not the Request struct.
-  std::string cachePutResponse(const Request& req, const std::string& line);
   void emitMetricsEvent(const char* reason);
 
   /// Admission verdict for one CHECK.  CancelledQueued: the request was

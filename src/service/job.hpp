@@ -125,8 +125,8 @@ struct VerificationJob {
   /// When non-empty, check only the obligation with this id
   /// ("<target>/<spec name>"); every other enumerated obligation is
   /// dropped before dispatch.  An id matching nothing yields a single
-  /// Error obligation.  This is how a cluster shard checks exactly the
-  /// obligation the coordinator routed to it.
+  /// Error obligation.  The assume-guarantee engine's direct-check
+  /// fallback uses this to check one composed spec it could not learn.
   std::string only;
   JobOptions options;
 };
@@ -159,16 +159,6 @@ struct ObligationOutcome {
   /// Content fingerprint used to address the obligation cache; empty when
   /// fingerprinting failed or the cache is disabled.
   std::string fingerprint;
-  /// Name of the cluster shard that served this obligation; empty for
-  /// local runs.  Set by the coordinator when it merges forwarded
-  /// verdicts, so a clustered report still explains where each verdict
-  /// came from.
-  std::string shard;
-  /// True when the coordinator hedged this obligation's in-flight CHECK to
-  /// a second shard after its latency threshold; `shard` names the lane
-  /// whose sound verdict arrived first (the hedge winner), the loser was
-  /// cancelled.  Always false for local runs and unhedged forwards.
-  bool hedged = false;
   /// True when this obligation's decided verdict became a new cache entry.
   bool cacheInserted = false;
   bool retried = false;

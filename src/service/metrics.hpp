@@ -114,8 +114,7 @@ class MetricsRegistry {
   std::uint64_t counterValue(const std::string& name) const;
   std::int64_t gaugeValue(const std::string& name) const;
   /// Estimated quantile of a histogram (0 when it does not exist yet);
-  /// what STATS stamps as request_p50_seconds / request_p99_seconds for
-  /// the cluster coordinator to aggregate.
+  /// what STATS stamps as request_p50_seconds / request_p99_seconds.
   double histogramQuantile(const std::string& name, double q) const;
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {"name":

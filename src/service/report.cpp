@@ -75,11 +75,6 @@ std::string outcomeJson(const ObligationOutcome& o) {
       .put("spec_text", o.specText)
       .put("verdict", toString(o.verdict))
       .put("verdict_source", o.verdictSource);
-  if (!o.shard.empty()) obj.put("shard", o.shard);
-  if (o.hedged) {
-    obj.putBool("hedged", true);
-    obj.put("hedge_winner", o.shard);
-  }
   obj.put("rule", o.rule)
       .putBool("retried", o.retried)
       .putDouble("seconds", o.seconds);

@@ -90,7 +90,7 @@ struct ObligationInstruments {
 };
 
 /// Everything a worker needs to run one obligation: the enumerated
-/// identity (ObligationRef, shared with the cluster coordinator's scout)
+/// identity (ObligationRef, as enumerateObligations yields it)
 /// plus the owning job.  Descriptors are copied into the pool task, so
 /// only the job pointer must outlive the batch (the snapshot is kept
 /// alive by the shared_ptr in every copy).
@@ -814,11 +814,10 @@ std::vector<JobReport> VerificationService::runBatch(
         }
       }
       state.descs = descs;
-      // A single-obligation job (cluster shards run them for the
-      // coordinator) filters AFTER enumeration: the full, deterministic
-      // enumeration is what makes ids and fingerprints agree across the
-      // fleet.  The memo keeps the unfiltered list — `only` prunes this
-      // job's private copy.
+      // A single-obligation job (the learner's direct-check fallback)
+      // filters AFTER enumeration, so its id and fingerprint are the ones
+      // a full run of the same model yields.  The memo keeps the
+      // unfiltered list — `only` prunes this job's private copy.
       if (!job.only.empty()) {
         std::erase_if(state.descs, [&job](const ObligationDesc& d) {
           return d.id != job.only;

@@ -68,9 +68,8 @@ struct SnapshotResult {
 
 /// One enumerated obligation of a snapshot: the stable identity
 /// ("<target>/<spec name>") plus the content fingerprint that addresses
-/// the obligation cache — and, in cluster mode, routes the obligation to
-/// its shard.  The scheduler extends a ref into a dispatchable
-/// descriptor; the coordinator forwards it as-is.
+/// the obligation cache.  The scheduler extends a ref into a dispatchable
+/// descriptor; perfbench's traced run enumerates refs the same way.
 struct ObligationRef {
   bool composed = false;
   std::size_t moduleIndex = 0;  ///< target module; spec owner when composed
@@ -87,10 +86,9 @@ struct ObligationRef {
 /// Enumerate a snapshot's obligations in dispatch order: one per
 /// (module, spec), then — when `options.compose` and the snapshot has >1
 /// module — one per spec against the composition.  Deterministic for a
-/// given (snapshot, options) and stable across processes: a coordinator's
-/// scout and a shard's own enumeration of the same SMV text agree on
-/// every id and fingerprint, which is what makes single-obligation
-/// forwarding ("only") and fleet-wide cache hits line up.
+/// given (snapshot, options) and stable across processes: two runs on the
+/// same SMV text agree on every id and fingerprint, which is what makes a
+/// disk store written by one process serve hits to the next.
 std::vector<ObligationRef> enumerateObligations(const ElaborationSnapshot& snap,
                                                 const JobOptions& options);
 

@@ -13,7 +13,7 @@
 // dependency, and the service's output is flat enough not to want one.
 //
 // The same flat single-line format is what the obligation cache's disk
-// store, the wire protocol and the cluster topology file read back, so the
+// store and the wire protocol read back, so the
 // reading side lives here too: jsonExtract* pull one field out of a flat
 // line, and frameLine/unframeLine add and verify a trailing CRC-32 field.
 //

@@ -1,5 +1,6 @@
 #include "smv/ast.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/common.hpp"
@@ -16,6 +17,11 @@ ExprPtr make(ExprKind kind, std::string text = {},
   e->text = std::move(text);
   e->args = std::move(args);
   e->branches = std::move(branches);
+  std::size_t deepest = 0;
+  for (const ExprPtr& a : e->args) deepest = std::max(deepest, a->depth);
+  for (const CaseBranch& b : e->branches)
+    deepest = std::max({deepest, b.cond->depth, b.value->depth});
+  e->depth = 1 + deepest;
   return e;
 }
 
@@ -112,8 +118,14 @@ std::vector<std::string> TypeDecl::expandedValues() const {
     case Kind::Enum:
       return values;
     case Kind::Range: {
+      // Count steps instead of comparing v <= hi, which never fails when
+      // hi is LONG_MAX and would overflow ++v.
+      const unsigned long span = static_cast<unsigned long>(hi) -
+                                 static_cast<unsigned long>(lo);
       std::vector<std::string> out;
-      for (long v = lo; v <= hi; ++v) out.push_back(std::to_string(v));
+      out.reserve(span + 1);
+      for (unsigned long k = 0; k <= span; ++k)
+        out.push_back(std::to_string(lo + static_cast<long>(k)));
       return out;
     }
   }

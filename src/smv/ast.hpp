@@ -49,6 +49,7 @@ struct Expr {
   std::string text;                 ///< Value / VarRef / NextRef payload
   std::vector<ExprPtr> args;        ///< operands or set elements
   std::vector<CaseBranch> branches; ///< Case only
+  std::size_t depth = 1;            ///< 1 + the deepest operand or branch
 };
 
 ExprPtr mkValue(std::string text);
@@ -67,6 +68,12 @@ struct TypeDecl {
   Kind kind = Kind::Bool;
   std::vector<std::string> values;  ///< Enum members
   long lo = 0, hi = 0;              ///< Range bounds (inclusive)
+
+  /// Most values a range type may span.  expandedValues() materializes
+  /// one string per value and elaboration grows about quadratically in the
+  /// count (4,096 values: under 0.1 s; 65,536: over 20 s), so the parser
+  /// refuses wider ranges instead of letting `0..10000000` run for minutes.
+  static constexpr unsigned long kMaxRangeValues = 1ul << 12;
 
   /// The value list after range expansion; booleans give {"0","1"}.
   std::vector<std::string> expandedValues() const;

@@ -1,5 +1,6 @@
 #include "smv/parser.hpp"
 
+#include <charconv>
 #include <unordered_set>
 
 #include "ctl/parser.hpp"
@@ -53,9 +54,9 @@ class Parser {
         mod.transConstraints.push_back(parseExpression());
         eatOptionalSemicolon();
       } else if (section.text == "SPEC") {
-        mod.specs.push_back(ctl::parse(rawSectionBody()));
+        mod.specs.push_back(parseCtlSection());
       } else if (section.text == "FAIRNESS") {
-        mod.fairness.push_back(ctl::parse(rawSectionBody()));
+        mod.fairness.push_back(parseCtlSection());
       } else {
         fail(section, "expected a section keyword (VAR, ASSIGN, DEFINE, "
                       "INIT, TRANS, SPEC, FAIRNESS), got '" +
@@ -74,6 +75,47 @@ class Parser {
  private:
   [[noreturn]] void fail(const Token& tok, const std::string& what) const {
     throw ParseError(what, tok.line, tok.column);
+  }
+
+  /// One level of recursive descent (a parenthesized group, a set or case
+  /// operand, a `!`, the right side of `->`).  Refuses to nest deeper than
+  /// kMaxExprDepth, so `((((...))))` is a parse error, not a stack overflow.
+  class Nested {
+   public:
+    Nested(Parser& p, const Token& at) : p_(p) {
+      if (++p_.nesting_ > kMaxExprDepth) {
+        p_.fail(at, "expression nests deeper than " +
+                        std::to_string(kMaxExprDepth) + " levels");
+      }
+    }
+    ~Nested() { --p_.nesting_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  /// Refuse a freshly built node deeper than kMaxExprDepth (flat `a & a &
+  /// ...` chains are parsed iteratively but still build deep trees).
+  ExprPtr bounded(ExprPtr e, const Token& at) const {
+    if (e->depth > kMaxExprDepth) {
+      fail(at, "expression is deeper than " + std::to_string(kMaxExprDepth) +
+                   " operators");
+    }
+    return e;
+  }
+
+  /// A range bound: a numeral that fits in a long.
+  long parseBound() {
+    const Token& tok = expectKind(TokenKind::Number);
+    long v = 0;
+    const char* end = tok.text.data() + tok.text.size();
+    const auto [ptr, ec] = std::from_chars(tok.text.data(), end, v);
+    if (ec != std::errc() || ptr != end) {
+      fail(tok, "range bound '" + tok.text + "' does not fit in a long");
+    }
+    return v;
   }
 
   const Token& peek(std::size_t ahead = 0) const {
@@ -125,6 +167,21 @@ class Parser {
   bool atSectionKeyword() const {
     return peek().kind == TokenKind::Ident &&
            kSectionKeywords.count(peek().text) != 0;
+  }
+
+  /// A SPEC/FAIRNESS body, parsed by the CTL parser.  Its errors carry
+  /// body-relative positions; re-anchor them at the body's place in the
+  /// file so the message names the model's line.
+  ctl::FormulaPtr parseCtlSection() {
+    const Token& start = peek();
+    const std::string body = rawSectionBody();
+    try {
+      return ctl::parse(body);
+    } catch (const ParseError& e) {
+      throw ParseError(e.detail(), start.line + e.line() - 1,
+                       e.line() == 1 ? start.column + e.column() - 1
+                                     : e.column());
+    }
   }
 
   /// Raw source span from the current token up to (excluding) the next
@@ -182,12 +239,20 @@ class Parser {
       return type;
     }
     if (peek().kind == TokenKind::Number) {
+      const Token& at = peek();
       type.kind = TypeDecl::Kind::Range;
-      type.lo = std::stol(advance().text);
+      type.lo = parseBound();
       expectKind(TokenKind::DotDot);
-      type.hi = std::stol(expectKind(TokenKind::Number).text);
+      type.hi = parseBound();
       if (type.hi < type.lo) {
         fail(peek(), "empty range type");
+      }
+      // hi - lo + 1 values; the unsigned difference cannot overflow.
+      if (static_cast<unsigned long>(type.hi) -
+              static_cast<unsigned long>(type.lo) >=
+          TypeDecl::kMaxRangeValues) {
+        fail(at, "range type spans more than " +
+                     std::to_string(TypeDecl::kMaxRangeValues) + " values");
       }
       return type;
     }
@@ -231,50 +296,58 @@ class Parser {
 
   ExprPtr parseIff() {
     ExprPtr lhs = parseImplies();
-    while (eat(TokenKind::Iff)) {
-      lhs = mkBinary(ExprKind::Iff, lhs, parseImplies());
+    while (peek().kind == TokenKind::Iff) {
+      const Token& op = advance();
+      lhs = bounded(mkBinary(ExprKind::Iff, lhs, parseImplies()), op);
     }
     return lhs;
   }
 
   ExprPtr parseImplies() {
     ExprPtr lhs = parseOr();
-    if (eat(TokenKind::Implies)) {
-      return mkBinary(ExprKind::Implies, lhs, parseImplies());
+    if (peek().kind == TokenKind::Implies) {
+      const Token& op = advance();
+      Nested level(*this, op);
+      return bounded(mkBinary(ExprKind::Implies, lhs, parseImplies()), op);
     }
     return lhs;
   }
 
   ExprPtr parseOr() {
     ExprPtr lhs = parseAnd();
-    while (eat(TokenKind::Or)) {
-      lhs = mkBinary(ExprKind::Or, lhs, parseAnd());
+    while (peek().kind == TokenKind::Or) {
+      const Token& op = advance();
+      lhs = bounded(mkBinary(ExprKind::Or, lhs, parseAnd()), op);
     }
     return lhs;
   }
 
   ExprPtr parseAnd() {
     ExprPtr lhs = parseEquality();
-    while (eat(TokenKind::And)) {
-      lhs = mkBinary(ExprKind::And, lhs, parseEquality());
+    while (peek().kind == TokenKind::And) {
+      const Token& op = advance();
+      lhs = bounded(mkBinary(ExprKind::And, lhs, parseEquality()), op);
     }
     return lhs;
   }
 
   ExprPtr parseEquality() {
     ExprPtr lhs = parseUnary();
+    const Token& op = peek();
     if (eat(TokenKind::Eq)) {
-      return mkBinary(ExprKind::Eq, lhs, parseUnary());
+      return bounded(mkBinary(ExprKind::Eq, lhs, parseUnary()), op);
     }
     if (eat(TokenKind::Neq)) {
-      return mkBinary(ExprKind::Neq, lhs, parseUnary());
+      return bounded(mkBinary(ExprKind::Neq, lhs, parseUnary()), op);
     }
     return lhs;
   }
 
   ExprPtr parseUnary() {
+    const Token& op = peek();
     if (eat(TokenKind::Not)) {
-      return mkUnary(ExprKind::Not, parseUnary());
+      Nested level(*this, op);
+      return bounded(mkUnary(ExprKind::Not, parseUnary()), op);
     }
     return parsePrimary();
   }
@@ -282,18 +355,20 @@ class Parser {
   ExprPtr parsePrimary() {
     const Token& tok = peek();
     if (eat(TokenKind::LParen)) {
+      Nested level(*this, tok);
       ExprPtr e = parseExpression();
       expectKind(TokenKind::RParen);
       return e;
     }
     if (eat(TokenKind::LBrace)) {
+      Nested level(*this, tok);
       std::vector<ExprPtr> elems;
       for (;;) {
         elems.push_back(parseExpression());
         if (eat(TokenKind::RBrace)) break;
         expectKind(TokenKind::Comma);
       }
-      return mkSet(std::move(elems));
+      return bounded(mkSet(std::move(elems)), tok);
     }
     if (tok.kind == TokenKind::Number) {
       advance();
@@ -318,7 +393,9 @@ class Parser {
   }
 
   ExprPtr parseCase() {
+    const Token& at = peek();
     expectIdent("case");
+    Nested level(*this, at);
     std::vector<CaseBranch> branches;
     while (!eatIdent("esac")) {
       CaseBranch branch;
@@ -331,12 +408,13 @@ class Parser {
     if (branches.empty()) {
       fail(peek(), "empty case expression");
     }
-    return mkCase(std::move(branches));
+    return bounded(mkCase(std::move(branches)), at);
   }
 
   std::string_view text_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t nesting_ = 0;  ///< open Nested levels
 };
 
 }  // namespace

@@ -32,8 +32,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"scheduler.retry", "engine-degradation retry decision"},
     {"net.accept", "server accept of a new connection (before the handler)"},
     {"net.read", "server read of a request line (per read attempt)"},
-    {"cluster.hedge_delay",
-     "coordinator hedge-lane launch (delay it to let the primary win)"},
 };
 
 }  // namespace

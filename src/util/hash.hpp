@@ -49,11 +49,6 @@ class StableHash128 {
   /// Field separator: keeps ("ab","c") distinct from ("a","bc").
   StableHash128& sep() noexcept { return update(std::string_view("\x1f", 1)); }
 
-  /// Finalized 64-bit digest (the high lane of hex()).  Process- and
-  /// platform-stable like hex(); used where a comparable scalar beats a
-  /// string — e.g. rendezvous-hash routing scores in the cluster layer.
-  std::uint64_t value64() const noexcept { return mix64(lo_); }
-
   /// 32 lowercase hex characters.
   std::string hex() const {
     const std::uint64_t a = mix64(lo_);

@@ -1,9 +1,10 @@
 // Tests for the net layer: wire-protocol parsing (malformed JSON, typed
-// option overlays), LineSocket framing (splits, CRLF, oversized lines,
-// torn tails), and the server end-to-end — admission control with BUSY
+// option overlays, retired verbs), LineSocket framing (splits, CRLF,
+// oversized lines, torn tails), and the server end-to-end — bounded model
+// reads, deep-expression survival, admission control with BUSY
 // backpressure, queueing, per-request CANCEL (running and queued),
 // client-disconnect detection, drain semantics, warm-cache resubmission,
-// and the metrics consistency invariants.  All over real Unix-domain
+// the metrics consistency invariants, and the client's retry backoff.  All over real Unix-domain
 // sockets against an in-process Server, so the tests can assert on the
 // registry and trace directly.
 #include <gtest/gtest.h>
@@ -201,70 +202,30 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
   EXPECT_DOUBLE_EQ(req.options.limits.deadlineSeconds, 0.0);
 }
 
-TEST(NetProtocol, ParsesRev3ClusterAdminCommands) {
-  // The admin commands arrived with protocol revision 3 (rev 4 removed the
-  // "bes"/"race" engine values, rev 5 the CHECK response's journal hit
-  // count); the gate test in cluster_test.cpp proves other revisions are
-  // refused outright.
-  EXPECT_EQ(kProtocolRevision, 5u);
+TEST(NetProtocol, RetiredVerbsAndTheOnlyFilterAreRejected) {
+  // Rev 6 removed the multi-daemon verbs and the single-obligation CHECK
+  // filter; each is now a typed parse error, never a silent full run.
+  EXPECT_EQ(kProtocolRevision, 6u);
   const service::JobOptions defaults;
   Request req;
   std::string err;
-
-  ASSERT_TRUE(parseRequest("{\"cmd\": \"TOPOLOGY\"}", defaults, &req, &err))
-      << err;
-  EXPECT_EQ(req.cmd, Command::Topology);
-
-  ASSERT_TRUE(parseRequest(
-      "{\"cmd\": \"JOIN\", \"shard\": \"s3\", \"socket\": \"/run/s3.sock\"}",
-      defaults, &req, &err))
-      << err;
-  EXPECT_EQ(req.cmd, Command::Join);
-  EXPECT_EQ(req.shard, "s3");
-  EXPECT_EQ(req.shardSocket, "/run/s3.sock");
-  EXPECT_EQ(req.shardTcp, -1);
-  ASSERT_TRUE(parseRequest("{\"cmd\": \"JOIN\", \"shard\": \"s4\", "
-                           "\"tcp\": 7402}",
-                           defaults, &req, &err))
-      << err;
-  EXPECT_EQ(req.shardTcp, 7402);
-  EXPECT_TRUE(req.shardSocket.empty());
-  // JOIN needs a name and exactly one transport, in range.
-  EXPECT_FALSE(parseRequest("{\"cmd\": \"JOIN\", \"socket\": \"/run/x\"}",
-                            defaults, &req, &err));
-  EXPECT_NE(err.find("shard"), std::string::npos) << err;
-  EXPECT_FALSE(parseRequest("{\"cmd\": \"JOIN\", \"shard\": \"s3\"}",
-                            defaults, &req, &err));
+  for (const char* cmd : {"JOIN", "LEAVE"}) {
+    EXPECT_FALSE(parseRequest(std::string("{\"cmd\": \"") + cmd +
+                                  "\", \"shard\": \"s3\"}",
+                              defaults, &req, &err))
+        << cmd;
+    EXPECT_NE(err.find("unknown command"), std::string::npos) << err;
+  }
   EXPECT_FALSE(parseRequest(
-      "{\"cmd\": \"JOIN\", \"shard\": \"s3\", \"socket\": \"/run/x\", "
-      "\"tcp\": 7402}",
+      "{\"cmd\": \"CHECK\", \"model\": \"m.smv\", \"only\": \"m/SPEC0\"}",
       defaults, &req, &err));
-  EXPECT_FALSE(parseRequest("{\"cmd\": \"JOIN\", \"shard\": \"s3\", "
-                            "\"tcp\": 99999}",
-                            defaults, &req, &err));
-
-  ASSERT_TRUE(parseRequest("{\"cmd\": \"LEAVE\", \"shard\": \"s3\"}",
-                           defaults, &req, &err))
-      << err;
-  EXPECT_EQ(req.cmd, Command::Leave);
-  EXPECT_EQ(req.shard, "s3");
-  EXPECT_FALSE(parseRequest("{\"cmd\": \"LEAVE\"}", defaults, &req, &err));
-
-  ASSERT_TRUE(parseRequest("{\"cmd\": \"CACHE_PUT\", \"fingerprint\": "
-                           "\"ab12\", \"verdict\": \"Fails\"}",
-                           defaults, &req, &err))
-      << err;
-  EXPECT_EQ(req.cmd, Command::CachePut);
-  EXPECT_EQ(req.fingerprint, "ab12");
-  // The write-through carries decided verdicts only: no fingerprint, or a
-  // non-terminal verdict, is refused at the parse layer.
-  EXPECT_FALSE(parseRequest("{\"cmd\": \"CACHE_PUT\", \"verdict\": "
-                            "\"Holds\"}",
-                            defaults, &req, &err));
-  EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
-  EXPECT_FALSE(parseRequest("{\"cmd\": \"CACHE_PUT\", \"fingerprint\": "
-                            "\"ab12\", \"verdict\": \"Timeout\"}",
-                            defaults, &req, &err));
+  EXPECT_NE(err.find("'only'"), std::string::npos) << err;
+  // The five verbs that remain still parse.
+  for (const char* cmd : {"STATUS", "STATS", "DRAIN"}) {
+    EXPECT_TRUE(parseRequest(std::string("{\"cmd\": \"") + cmd + "\"}",
+                             defaults, &req, &err))
+        << cmd << ": " << err;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -338,16 +299,98 @@ TEST(NetServer, RemovedEngineValuesGetBadRequest) {
         << resp;
   }
   EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 0u);
-  // STATUS and STATS stamp the current revision (rev 4 made these values
-  // an error).
+  // STATUS and STATS stamp the current revision.
   for (const char* cmd : {"STATUS", "STATS"}) {
     ASSERT_TRUE(c.request(std::string("{\"cmd\": \"") + cmd + "\"}", &resp,
                           &err))
         << err;
     std::uint64_t rev = 0;
     EXPECT_TRUE(service::jsonExtractUint(resp, "protocol_rev", &rev)) << cmd;
-    EXPECT_EQ(rev, 5u) << cmd;
+    EXPECT_EQ(rev, 6u) << cmd;
   }
+}
+
+TEST(NetServer, NoRequestWritesAVerdictOrNarrowsACheck) {
+  // A failing spec: the verdict a client must not be able to overwrite.
+  const std::string failing =
+      "MODULE m\nVAR x : boolean;\nASSIGN init(x) := 0;\nSPEC AG x\n";
+  Harness h;
+  Client c = h.connect();
+  std::string resp, err, report, fingerprint;
+  ASSERT_TRUE(c.request(checkRequest("cold", failing), &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"verdict\": \"Fails\""), std::string::npos) << resp;
+  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(service::jsonExtractString(report, "fingerprint", &fingerprint));
+
+  // Verdict writes under the retired verbs, and any other unknown verb,
+  // are BAD_REQUEST; none reaches the cache.
+  for (const char* cmd : {"JOIN", "LEAVE", "PUT"}) {
+    service::JsonObject put;
+    put.put("cmd", cmd)
+        .put("fingerprint", fingerprint)
+        .put("verdict", "Holds");
+    ASSERT_TRUE(c.request(put.str(), &resp, &err)) << err;
+    EXPECT_NE(resp.find(kBadRequest), std::string::npos) << cmd << resp;
+  }
+  // A CHECK still carrying "only" is refused rather than run in full.
+  ASSERT_TRUE(c.request(checkRequest("only", failing, "\"only\": \"m/m.SPEC0\""),
+                        &resp, &err))
+      << err;
+  EXPECT_NE(resp.find(kBadRequest), std::string::npos) << resp;
+
+  // The spec still fails, now served from the cache the first run filled.
+  ASSERT_TRUE(c.request(checkRequest("warm", failing), &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"verdict\": \"Fails\""), std::string::npos) << resp;
+  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  EXPECT_NE(report.find("\"verdict_source\": \"cache\""), std::string::npos);
+  EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 2u);
+}
+
+TEST(NetServer, ModelPathMustBeABoundedRegularFile) {
+  Harness h;
+  Client c = h.connect();
+  std::string resp, err;
+  // A device is refused before any read (the same holds for /dev/zero,
+  // which would otherwise be read until memory runs out).
+  ASSERT_TRUE(c.request("{\"cmd\": \"CHECK\", \"model\": \"/dev/null\"}",
+                        &resp, &err))
+      << err;
+  EXPECT_NE(resp.find(kBadRequest), std::string::npos) << resp;
+  EXPECT_NE(resp.find("not a regular file"), std::string::npos) << resp;
+
+  // A sparse file one byte past the line cap: refused by size, unread.
+  const fs::path big = fs::temp_directory_path() /
+                       ("cmc_net_test_big_" + std::to_string(::getpid()) +
+                        ".smv");
+  { std::ofstream(big.string()); }
+  fs::resize_file(big, kMaxLineBytes + 1);
+  ASSERT_TRUE(c.request("{\"cmd\": \"CHECK\", \"model\": \"" +
+                            big.string() + "\"}",
+                        &resp, &err))
+      << err;
+  fs::remove(big);
+  EXPECT_NE(resp.find(kBadRequest), std::string::npos) << resp;
+  EXPECT_NE(resp.find("exceeds"), std::string::npos) << resp;
+  EXPECT_EQ(h.metrics.counterValue("checks_rejected_bad_model"), 2u);
+  EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 0u);
+}
+
+TEST(NetServer, DeepExpressionIsAnsweredAndTheServerSurvives) {
+  // ~60 KB of nested parentheses: far under the line cap, and deep enough
+  // to overflow a recursive-descent parser's stack without the depth cap.
+  const std::string deep = "MODULE m\nVAR x : boolean;\nSPEC " +
+                           std::string(20000, '(') + "x" +
+                           std::string(20000, ')') + "\n";
+  Harness h;
+  Client c = h.connect();
+  std::string resp, err;
+  ASSERT_TRUE(c.request(checkRequest("deep", deep), &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"verdict\": \"Error\""), std::string::npos) << resp;
+  std::string report;
+  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  EXPECT_NE(report.find("nests deeper than"), std::string::npos) << report;
+  ASSERT_TRUE(c.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos) << resp;
 }
 
 TEST(NetServer, OversizedLineIsRejectedAndConnectionClosed) {
@@ -679,6 +722,21 @@ TEST(NetServer, LoopbackTcpListenerServes) {
 // Client retry loops: transient transport failures, including the
 // initial dial
 // ---------------------------------------------------------------------------
+
+TEST(NetClient, BackoffDelaysAreJitteredExponentialAndCapped) {
+  for (int round = 0; round < 64; ++round) {
+    const int first = Client::backoffMs(0, 100);
+    EXPECT_GE(first, 50);
+    EXPECT_LE(first, 100);
+    const int fourth = Client::backoffMs(3, 100);
+    EXPECT_GE(fourth, 400);
+    EXPECT_LE(fourth, 800);
+    const int capped = Client::backoffMs(20, 100000);
+    EXPECT_GE(capped, 15000);
+    EXPECT_LE(capped, 30000);
+  }
+  EXPECT_EQ(Client::backoffMs(5, 0), 0);
+}
 
 TEST(NetClient, ConnectRetryingWaitsForALateServer) {
   // The daemon comes up well after the client starts dialing: the

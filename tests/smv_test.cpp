@@ -1,6 +1,8 @@
 // Tests for the SMV front end: lexer, parser, and elaboration semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "ctl/parser.hpp"
 #include "smv/elaborate.hpp"
 #include "smv/lexer.hpp"
@@ -105,6 +107,78 @@ TEST(SmvParser, ExprPrecedence) {
   EXPECT_EQ(e->kind, ExprKind::Implies);
   EXPECT_EQ(e->args[0]->kind, ExprKind::And);
   EXPECT_EQ(e->args[0]->args[0]->kind, ExprKind::Eq);
+}
+
+/// The line of the ParseError `text` raises, or 0 if it parses.
+int parseErrorLine(const std::string& text) {
+  try {
+    parseProgram(text);
+  } catch (const ParseError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+TEST(SmvParser, ExpressionDepthIsCappedInSpecsAndAssigns) {
+  // Every shape on line 3; at the cap it parses, one past it is a parse
+  // error naming that line (never a stack overflow, however deep).
+  const std::string head = "MODULE main\nVAR x : boolean;\n";
+  const auto parens = [](std::size_t n) {
+    return std::string(n, '(') + "x" + std::string(n, ')');
+  };
+  const auto chain = [](std::size_t n) {
+    std::string out = "x";
+    for (std::size_t i = 1; i < n; ++i) out += " & x";
+    return out;
+  };
+  const auto spec = [&](const std::string& e) {
+    return head + "SPEC " + e + "\n";
+  };
+  const auto assign = [&](const std::string& e) {
+    return head + "ASSIGN next(x) := " + e + ";\n";
+  };
+  for (const auto& wrap : {std::function<std::string(const std::string&)>(spec),
+                           std::function<std::string(const std::string&)>(assign)}) {
+    EXPECT_EQ(parseErrorLine(wrap(parens(kMaxExprDepth))), 0);
+    EXPECT_EQ(parseErrorLine(wrap(parens(kMaxExprDepth + 1))), 3);
+    EXPECT_EQ(parseErrorLine(wrap(chain(kMaxExprDepth))), 0);
+    EXPECT_EQ(parseErrorLine(wrap(chain(kMaxExprDepth + 1))), 3);
+    // The shapes that crashed before the cap existed.
+    EXPECT_EQ(parseErrorLine(wrap(parens(20000))), 3);
+    EXPECT_EQ(parseErrorLine(wrap(chain(50000))), 3);
+  }
+  const std::vector<Module> ok = parseProgram(spec(chain(kMaxExprDepth)));
+  EXPECT_EQ(ok[0].specs[0]->depth(), kMaxExprDepth);
+}
+
+TEST(SmvParser, RangeTypesAreBoundedAndFitInALong) {
+  const auto var = [](const std::string& type) {
+    return "MODULE main\nVAR\n  x : " + type + ";\n";
+  };
+  const std::string last = std::to_string(TypeDecl::kMaxRangeValues - 1);
+  const std::vector<Module> ok = parseProgram(var("0.." + last));
+  EXPECT_EQ(ok[0].vars[0].type.expandedValues().size(),
+            TypeDecl::kMaxRangeValues);
+  EXPECT_EQ(parseErrorLine(var("1.." + std::to_string(
+                                           TypeDecl::kMaxRangeValues + 1))),
+            3);
+  EXPECT_EQ(parseErrorLine(var("0..10000000")), 3);
+  // Numerals past LONG_MAX are parse errors, not an escaped std::stol throw.
+  EXPECT_EQ(parseErrorLine(var("0..99999999999999999999")), 3);
+  EXPECT_EQ(parseErrorLine(var("99999999999999999999..1")), 3);
+  try {
+    parseProgram(var("0..99999999999999999999"));
+    ADD_FAILURE() << "oversized numeral parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not fit"), std::string::npos)
+        << e.what();
+  }
+  // A range ending at LONG_MAX expands without overflowing its counter.
+  const std::vector<Module> top =
+      parseProgram(var("9223372036854775806..9223372036854775807"));
+  EXPECT_EQ(top[0].vars[0].type.expandedValues(),
+            (std::vector<std::string>{"9223372036854775806",
+                                      "9223372036854775807"}));
 }
 
 // ---- Elaboration ------------------------------------------------------------

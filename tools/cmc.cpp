@@ -2,7 +2,6 @@
 //
 //   cmc check [options] <model.smv> [more.smv ...]
 //   cmc serve --socket /path [--tcp PORT] [options]
-//   cmc coordinator --socket /path --topology shards.jsonl [options]
 //   cmc submit --socket /path [options] <model.smv> [more.smv ...]
 //   cmc cache compact --cache-dir DIR
 //   cmc failpoints | version | help
@@ -49,8 +48,6 @@
 #include <vector>
 
 #include "agr/engine.hpp"
-#include "cluster/coordinator.hpp"
-#include "cluster/topology.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/obligation_cache.hpp"
@@ -71,10 +68,7 @@ commands:
               (see docs/THEORY.md "Learned assumptions")
   serve       run the persistent verification daemon (wire protocol over a
               Unix-domain socket; see README.md "Server mode")
-  coordinator front a fleet of serve daemons as one: route each obligation
-              to its shard by content fingerprint, merge the verdicts
-              (see README.md "Cluster mode" and docs/OPERATIONS.md)
-  submit      client for a serving daemon or coordinator: submit checks,
+  submit      client for a serving daemon: submit checks,
               query STATUS/STATS, CANCEL a request, or DRAIN the server
   cache       maintain an on-disk obligation cache: `cmc cache compact`
               deduplicates DIR/obligations.jsonl offline
@@ -141,42 +135,10 @@ cmc serve options:
   plus, as in check: --threads --cache-dir --no-cache --trace --failpoint,
   and the job-option defaults (--compose --learn --engine --no-retry
   --trace-force --deadline-ms --node-budget --cluster --reorder), which
-  requests overlay per CHECK.  SIGTERM/SIGINT (or a DRAIN command) drains:
-  in-flight requests finish and respond, new CHECKs get DRAINING, then the
-  server exits 0.
-
-cmc coordinator options:
-  --socket PATH      Unix-domain listener (required; unlinked on shutdown)
-  --tcp PORT         also listen on 127.0.0.1:PORT (0 = ephemeral, printed)
-  --topology FILE    shard roster, one JSON object per line (required):
-                     {"name": "s1", "socket": "/run/s1.sock"} or
-                     {"name": "s2", "tcp": 7401}; # comments allowed
-  --max-inflight N   CHECK jobs at once (default 16); one more answers BUSY
-  --forward-threads N
-                     obligation-forwarding pool width (default: 2 per
-                     shard, at least 4)
-  --probe-interval-ms N
-                     shard health-probe period (default 1000; the actual
-                     sleep is jittered in [0.5, 1.5)x the period)
-  --fail-threshold N consecutive probe failures that mark a shard down
-                     (default 2)
-  --probation-probes N
-                     consecutive successful probes a recovered shard must
-                     serve before re-entering the ring (default 1; doubles
-                     per mark-down, so flapping shards are held out longer)
-  --replication N    copies of every decided obligation across the fleet
-                     (default 2: owner + its rendezvous successor; 1 = off)
-  --hedge-ms N       re-send a straggling CHECK to the next rendezvous
-                     candidate after N ms in flight; first sound verdict
-                     wins, the loser is cancelled (default 0 = off)
-  --model-root DIR   resolve request "model" paths under DIR
-  --trace PATH       write the coordinator's JSONL event trace to PATH
-  plus --failpoint and the job-option defaults as in serve.  All shards
-  must run this exact cmc version and protocol revision; the coordinator
-  refuses to start against a mixed-version fleet.  SIGTERM/SIGINT (or
-  DRAIN) drains and exits 0; the shards keep running.  SIGHUP re-reads
-  --topology FILE and diffs it against the live roster (add/remove shards
-  without a restart); JOIN/LEAVE do the same over the wire.
+  requests overlay per CHECK.  --threads is how one daemon scales: every
+  request's obligations share that worker pool and one cache.
+  SIGTERM/SIGINT (or a DRAIN command) drains: in-flight requests finish
+  and respond, new CHECKs get DRAINING, then the server exits 0.
 
 cmc submit options:
   --socket PATH      connect to the daemon's Unix-domain socket
@@ -184,15 +146,6 @@ cmc submit options:
   --status | --stats | --drain | --cancel ID
                      control commands (no model arguments); --stats prints
                      the Prometheus-style metrics text
-  --topology         coordinator only: print the shard roster with per-shard
-                     lifecycle state (up/suspect/down/probation), flap
-                     counts and replica-put counters
-  --join NAME --shard-socket PATH | --shard-tcp PORT
-                     coordinator only: add shard NAME to the ring after a
-                     version handshake (a previously removed or down shard
-                     re-enters through probation)
-  --leave NAME       coordinator only: decommission shard NAME (refused for
-                     the last shard; in-flight forwards finish first)
   --id ID            request id (one model) or id prefix (several)
   --name NAME        job name for a single submitted model
   --report PATH      write the returned report JSON (unescaped) to PATH
@@ -254,15 +207,6 @@ extern "C" void onSignal(int sig) {
   // A second signal falls through to the default action (immediate kill)
   // in case the wind-down itself wedges.
   std::signal(sig, SIG_DFL);
-}
-
-/// SIGHUP on `cmc coordinator` = re-read the topology file.  A dedicated
-/// flag — NOT onSignal — because reload must not drain the coordinator;
-/// the main loop polls it and runs the reload outside signal context.
-std::atomic<bool> gReloadRequested{false};
-
-extern "C" void onReload(int) {
-  gReloadRequested.store(true, std::memory_order_relaxed);
 }
 
 std::string basenameStem(const std::string& path) {
@@ -731,188 +675,6 @@ int runServe(const ServeOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// cmc coordinator
-
-struct CoordinatorCliOptions {
-  cluster::CoordinatorOptions coord;
-  std::string topologyPath;
-  std::string tracePath;
-  std::vector<std::string> failpoints;
-};
-
-int parseCoordinatorArgs(int argc, char** argv, CoordinatorCliOptions* opts) {
-  service::JobOptions& job = opts->coord.defaults;
-  job.engine = symbolic::EngineMode::Auto;  // CLI default, as in check
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "cmc coordinator: " << arg << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const auto nextUint = [&](std::uint64_t* out) {
-      const char* v = next();
-      return v != nullptr && parseUint(v, out);
-    };
-    std::uint64_t n = 0;
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->coord.socketPath = v;
-    } else if (arg == "--tcp") {
-      if (!nextUint(&n) || n > 65535) return 2;
-      opts->coord.tcpPort = static_cast<int>(n);
-    } else if (arg == "--topology") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->topologyPath = v;
-    } else if (arg == "--max-inflight") {
-      if (!nextUint(&n)) return 2;
-      opts->coord.maxInFlight = static_cast<unsigned>(n);
-    } else if (arg == "--forward-threads") {
-      if (!nextUint(&n)) return 2;
-      opts->coord.forwardThreads = static_cast<unsigned>(n);
-    } else if (arg == "--probe-interval-ms") {
-      if (!nextUint(&n)) return 2;
-      opts->coord.probeIntervalSeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--fail-threshold") {
-      if (!nextUint(&n) || n == 0) return 2;
-      opts->coord.failThreshold = static_cast<int>(n);
-    } else if (arg == "--probation-probes") {
-      if (!nextUint(&n) || n == 0) return 2;
-      opts->coord.probationProbes = static_cast<int>(n);
-    } else if (arg == "--replication") {
-      if (!nextUint(&n) || n == 0) return 2;
-      opts->coord.replicationFactor = static_cast<int>(n);
-    } else if (arg == "--hedge-ms") {
-      if (!nextUint(&n)) return 2;
-      opts->coord.hedgeDelaySeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--model-root") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->coord.modelRoot = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->tracePath = v;
-    } else if (arg == "--failpoint") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->failpoints.push_back(v);
-    } else if (arg == "--compose") {
-      job.compose = true;
-    } else if (arg == "--engine") {
-      if (!parseEngineMode(next(), &job.engine)) return 2;
-    } else if (arg == "--no-retry") {
-      job.retryOtherEngine = false;
-    } else if (arg == "--trace-force") {
-      job.traceForce = true;
-    } else if (arg == "--reorder") {
-      job.reorderBeforeCheck = true;
-    } else if (arg == "--deadline-ms") {
-      if (!nextUint(&n)) return 2;
-      job.limits.deadlineSeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--node-budget") {
-      if (!nextUint(&n)) return 2;
-      job.limits.nodeBudget = n;
-    } else if (arg == "--cluster") {
-      if (!nextUint(&n)) return 2;
-      job.clusterThreshold = n;
-    } else {
-      std::cerr << "cmc coordinator: unknown option " << arg << "\n";
-      return 2;
-    }
-  }
-  if (opts->coord.socketPath.empty() && opts->coord.tcpPort < 0) {
-    std::cerr << "cmc coordinator: --socket PATH is required\n";
-    return 2;
-  }
-  if (opts->topologyPath.empty()) {
-    std::cerr << "cmc coordinator: --topology FILE is required\n";
-    return 2;
-  }
-  return 0;
-}
-
-int runCoordinator(CoordinatorCliOptions& opts) {
-  if (const int rc = armFailpoints(opts.failpoints); rc != 0) return rc;
-
-  std::string err;
-  if (!cluster::loadTopology(opts.topologyPath, &opts.coord.topology, &err)) {
-    std::cerr << "cmc coordinator: " << err << "\n";
-    return 2;
-  }
-  // Remember where the topology came from: SIGHUP re-reads this path.
-  opts.coord.topologyPath = opts.topologyPath;
-
-  service::MetricsRegistry metrics;
-  std::ofstream traceFile;
-  if (!opts.tracePath.empty()) {
-    traceFile.open(opts.tracePath);
-    if (!traceFile) {
-      std::cerr << "cmc coordinator: cannot write " << opts.tracePath << "\n";
-      return 2;
-    }
-  }
-  service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
-
-  cluster::Coordinator coordinator(opts.coord, metrics, trace);
-  if (!coordinator.start(&err)) {
-    std::cerr << "cmc coordinator: " << err << "\n";
-    return 2;
-  }
-
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGHUP, onReload);
-
-  std::cout << "cmc coordinator: listening on " << opts.coord.socketPath;
-  if (coordinator.boundTcpPort() >= 0) {
-    std::cout << " and 127.0.0.1:" << coordinator.boundTcpPort();
-  }
-  std::cout << " fronting " << coordinator.shardsUp() << "/"
-            << coordinator.shardsTotal() << " shard(s)" << std::endl;
-
-  // As in serve: a signal means drain, turned into action by this loop.
-  // SIGHUP instead means re-read the topology file and diff it against
-  // the roster — the zero-downtime alternative to restart-on-edit.
-  while (gSignal.load(std::memory_order_relaxed) == 0 &&
-         !coordinator.drainRequested()) {
-    if (gReloadRequested.exchange(false, std::memory_order_relaxed)) {
-      std::string summary, reloadErr;
-      if (coordinator.reloadTopology(&summary, &reloadErr)) {
-        std::cout << "cmc coordinator: " << summary << std::endl;
-      } else {
-        std::cerr << "cmc coordinator: reload failed: " << reloadErr
-                  << " (roster unchanged)" << std::endl;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  if (const int sig = gSignal.load(std::memory_order_relaxed); sig != 0) {
-    std::cout << "cmc coordinator: signal " << sig << "; draining"
-              << std::endl;
-  }
-  coordinator.requestDrain();
-  coordinator.shutdown();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGHUP, SIG_DFL);
-
-  std::cout << "cmc coordinator: drained; "
-            << metrics.counterValue("checks_completed")
-            << " check(s) completed, "
-            << metrics.counterValue("cluster_obligations_forwarded")
-            << " obligation(s) forwarded, "
-            << metrics.counterValue("cluster_redispatches")
-            << " re-dispatched" << std::endl;
-  // The shards keep serving; draining the coordinator is orderly: exit 0.
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
 // cmc cache
 
 int runCacheCompact(int argc, char** argv) {
@@ -963,11 +725,6 @@ struct SubmitOptions {
   bool status = false;
   bool stats = false;
   bool drain = false;
-  bool topology = false;   ///< TOPOLOGY: coordinator roster + lifecycle
-  std::string joinName;    ///< JOIN: shard name to add/readmit
-  std::string leaveName;   ///< LEAVE: shard name to decommission
-  std::string shardSocket; ///< JOIN: the shard's Unix endpoint ...
-  int shardTcp = -1;       ///< ... or its loopback TCP port
   std::string cancelId;
   std::string id;
   std::string name;
@@ -1012,24 +769,6 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
       opts->stats = true;
     } else if (arg == "--drain") {
       opts->drain = true;
-    } else if (arg == "--topology") {
-      opts->topology = true;
-    } else if (arg == "--join") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->joinName = v;
-    } else if (arg == "--leave") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->leaveName = v;
-    } else if (arg == "--shard-socket") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->shardSocket = v;
-    } else if (arg == "--shard-tcp") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &n) || n == 0 || n > 65535) return 2;
-      opts->shardTcp = static_cast<int>(n);
     } else if (arg == "--cancel") {
       const char* v = next();
       if (v == nullptr) return 2;
@@ -1104,21 +843,8 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
     std::cerr << "cmc submit: need --socket PATH or --tcp PORT\n";
     return 2;
   }
-  if (!opts->joinName.empty() &&
-      opts->shardSocket.empty() == (opts->shardTcp < 0)) {
-    std::cerr << "cmc submit: --join needs exactly one of --shard-socket "
-                 "PATH or --shard-tcp PORT\n";
-    return 2;
-  }
-  if (opts->joinName.empty() &&
-      (!opts->shardSocket.empty() || opts->shardTcp >= 0)) {
-    std::cerr << "cmc submit: --shard-socket/--shard-tcp only make sense "
-                 "with --join NAME\n";
-    return 2;
-  }
   const bool control = opts->status || opts->stats || opts->drain ||
-                       opts->topology || !opts->joinName.empty() ||
-                       !opts->leaveName.empty() || !opts->cancelId.empty();
+                       !opts->cancelId.empty();
   if (control && !opts->models.empty()) {
     std::cerr << "cmc submit: control commands take no model arguments\n";
     return 2;
@@ -1220,8 +946,8 @@ bool sendCheckWithRetry(net::Client& client, const SubmitOptions& opts,
 int runSubmit(const SubmitOptions& opts) {
   net::Client client;
   std::string err;
-  // The initial dial honors the retry budget too: a shard or coordinator
-  // restarting (connection refused, socket not yet bound) looks exactly
+  // The initial dial honors the retry budget too: a daemon restarting
+  // (connection refused, socket not yet bound) looks exactly
   // like a mid-request transport failure from the caller's side.  The
   // final failure keeps the historical exit 2.
   const auto logRetry = [&opts](const std::string& why, int attempt,
@@ -1236,24 +962,11 @@ int runSubmit(const SubmitOptions& opts) {
   }
 
   // Control commands: one request, print, done.
-  if (opts.status || opts.stats || opts.drain || opts.topology ||
-      !opts.joinName.empty() || !opts.leaveName.empty() ||
-      !opts.cancelId.empty()) {
+  if (opts.status || opts.stats || opts.drain || !opts.cancelId.empty()) {
     service::JsonObject req;
     if (opts.status) req.put("cmd", "STATUS");
     else if (opts.stats) req.put("cmd", "STATS");
     else if (opts.drain) req.put("cmd", "DRAIN");
-    else if (opts.topology) req.put("cmd", "TOPOLOGY");
-    else if (!opts.joinName.empty()) {
-      req.put("cmd", "JOIN").put("shard", opts.joinName);
-      if (opts.shardTcp >= 0) {
-        req.putUint("tcp", static_cast<std::uint64_t>(opts.shardTcp));
-      } else {
-        req.put("socket", opts.shardSocket);
-      }
-    }
-    else if (!opts.leaveName.empty())
-      req.put("cmd", "LEAVE").put("shard", opts.leaveName);
     else req.put("cmd", "CANCEL").put("id", opts.cancelId);
     std::string resp;
     if (!client.request(req.str(), &resp, &err)) {
@@ -1396,12 +1109,6 @@ int main(int argc, char** argv) {
       if (const int rc = parseServeArgs(argc, argv, &opts); rc != 0)
         return rc;
       return runServe(opts);
-    }
-    if (command == "coordinator") {
-      CoordinatorCliOptions opts;
-      if (const int rc = parseCoordinatorArgs(argc, argv, &opts); rc != 0)
-        return rc;
-      return runCoordinator(opts);
     }
     if (command == "submit") {
       SubmitOptions opts;
