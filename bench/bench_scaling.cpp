@@ -9,7 +9,12 @@
 //    every spec on the composition fanned out on the worker pool (one BDD
 //    manager per obligation);
 //  - monolithic: compose all components and model check AG(Inv) on the
-//    product directly (state space grows as ~168^n · 2).
+//    product directly (state space grows as ~168^n · 2);
+//  - compose sweep: the genmodel AFS-2 job at n = 2..32 as `cmc check
+//    --compose --threads 1 --no-cache` runs it (one worker, cold), recorded
+//    as the "service-compose-1worker" rows of BENCH_scaling.json.  Every
+//    composed spec is a global fixpoint here, so this is the curve the
+//    preimage frame test (docs/THEORY.md) flattens.
 //
 // Expected shape: compositional time grows ~linearly in n; monolithic time
 // grows superlinearly (exponential state space, BDD sizes compound), with
@@ -43,18 +48,51 @@ bool monolithicCheck(int n, std::uint64_t* transNodes) {
 }
 
 /// The genmodel AFS-2 job with n clients, composed, on a fresh uncached
-/// service using every core; true iff every obligation holds.
-bool serviceCheck(int n) {
+/// service with `threads` workers (0 = every core); true iff every
+/// obligation holds.
+bool serviceCheck(int n, unsigned threads = 0) {
   service::VerificationJob job;
   job.name = "afs2-" + std::to_string(n);
   job.smvText = gen::afs2Model(static_cast<std::size_t>(n));
   job.options.compose = true;
   job.options.engine = symbolic::EngineMode::Auto;
   service::ServiceOptions sopts;
-  sopts.threads = 0;  // hardware concurrency
+  sopts.threads = threads;
   sopts.cacheEnabled = false;
   service::VerificationService svc(sopts);
   return svc.run(job).allHold();
+}
+
+/// The compose sweep: one cold one-worker job per size.  Sizes after the
+/// first job slower than kSweepBudgetSeconds are skipped, since each
+/// doubling of n costs far more on an engine that does not scale.
+void composeSweep() {
+  constexpr double kSweepBudgetSeconds = 10.0;
+  std::printf("== afs2-n --compose, one worker, cold (genmodel) ==\n");
+  std::printf("%3s  %10s  %s\n", "n", "job (s)", "verdict");
+  bool skipping = false;
+  for (int n : {2, 4, 8, 12, 16, 24, 32}) {
+    if (skipping) {
+      std::printf("%3d  %10s  skipped (previous size over %.0f s)\n", n, "-",
+                  kSweepBudgetSeconds);
+      continue;
+    }
+    WallTimer timer;
+    const bool ok = serviceCheck(n, /*threads=*/1);
+    const double seconds = timer.seconds();
+    std::printf("%3d  %10.4f  %s\n", n, seconds,
+                ok ? "all hold" : "SOME FAILED");
+    bench::JsonEntry e;
+    e.model = "afs2-" + std::to_string(n);
+    e.spec = "all obligations (--compose)";
+    e.holds = ok;
+    e.seconds = seconds;
+    e.mode = "service-compose-1worker";
+    e.clusterThreshold = 1024;
+    bench::recordResult(std::move(e));
+    skipping = seconds > kSweepBudgetSeconds;
+  }
+  std::printf("\n");
 }
 
 void report() {
@@ -91,6 +129,7 @@ void report() {
                 static_cast<unsigned long long>(transNodes));
   }
   std::printf("(monol. -1 = skipped; states = |domain| of the product)\n\n");
+  composeSweep();
 }
 
 void BM_Compositional(benchmark::State& state) {

@@ -251,6 +251,7 @@ void Manager::collectGarbage() {
   }
   stats_.gcReclaimed += reclaimed;
   stats_.liveNodes -= reclaimed;
+  marks_.assign(nodes_.size(), false);
 
   // Dead nodes may still sit in unique-table chains; rebuild the table.
   rehashUniqueTable(uniqueBuckets_.size());

@@ -263,6 +263,11 @@ class Manager {
   NodeIndex existsRec(NodeIndex f, NodeIndex cube);
   NodeIndex andExistsRec(NodeIndex f, NodeIndex g, NodeIndex cube);
   NodeIndex permuteRec(NodeIndex f, std::uint32_t permId);
+  /// Internal nodes reachable from `roots` (terminals excluded), each once.
+  /// The list lives in walk_ (valid until the next walk); marks_ is left
+  /// all false again.
+  const std::vector<NodeIndex>& reachable(const NodeIndex* roots,
+                                          std::size_t count) const;
 
   // Computed-table plumbing (ops.cpp).
   struct CacheEntry {
@@ -290,8 +295,12 @@ class Manager {
   std::vector<std::uint32_t> levelToVar_;
   ManagerStats stats_;
 
-  // Scratch marks for GC / dagSize (sized lazily to nodes_.size()).
+  // Scratch for GC, reachable() and support(): marks_ is sized lazily to
+  // nodes_.size() and varSeen_ to numVars_, and both are all false between
+  // calls (each walk clears what it set).
   mutable std::vector<bool> marks_;
+  mutable std::vector<NodeIndex> walk_;
+  mutable std::vector<bool> varSeen_;
 };
 
 }  // namespace cmc::bdd

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bdd/manager.hpp"
 
@@ -155,18 +154,24 @@ NodeIndex Manager::existsRec(NodeIndex f, NodeIndex cube) {
   NodeIndex cached;
   if (cacheLookup(kOpExists, f, cube, 0, &cached)) return cached;
 
-  const Node& nf = nodes_[f];
+  // Copy the fields out: the recursive calls may grow (reallocate) nodes_.
+  const std::uint32_t var = nodes_[f].var;
+  const NodeIndex f0 = nodes_[f].low;
+  const NodeIndex f1 = nodes_[f].high;
   NodeIndex result;
-  if (nf.var == nodes_[cube].var) {
-    const NodeIndex low = existsRec(nf.low, nodes_[cube].high);
+  if (var == nodes_[cube].var) {
+    const NodeIndex rest = nodes_[cube].high;
+    const NodeIndex low = existsRec(f0, rest);
     if (low == kTrueNode) {
       result = kTrueNode;  // early cutoff: or(true, _) == true
     } else {
-      const NodeIndex high = existsRec(nf.high, nodes_[cube].high);
+      const NodeIndex high = existsRec(f1, rest);
       result = iteRec(low, kTrueNode, high);
     }
   } else {
-    result = mk(nf.var, existsRec(nf.low, cube), existsRec(nf.high, cube));
+    const NodeIndex low = existsRec(f0, cube);
+    const NodeIndex high = existsRec(f1, cube);
+    result = mk(var, low, high);
   }
   cacheInsert(kOpExists, f, cube, 0, result);
   return result;
@@ -238,17 +243,19 @@ NodeIndex Manager::permuteRec(NodeIndex f, std::uint32_t permId) {
   NodeIndex cached;
   if (cacheLookup(kOpPermute, f, permId, 0, &cached)) return cached;
 
-  const Node& n = nodes_[f];
+  // Copy the fields out: the recursive calls may grow (reallocate) nodes_.
+  const std::uint32_t var = nodes_[f].var;
+  const NodeIndex f0 = nodes_[f].low;
+  const NodeIndex f1 = nodes_[f].high;
   const std::vector<std::uint32_t>& perm = permutations_[permId];
-  const std::uint32_t target =
-      n.var < perm.size() ? perm[n.var] : n.var;
+  const std::uint32_t target = var < perm.size() ? perm[var] : var;
 
-  const NodeIndex low = permuteRec(n.low, permId);
-  const NodeIndex high = permuteRec(n.high, permId);
+  const NodeIndex low = permuteRec(f0, permId);
+  const NodeIndex high = permuteRec(f1, permId);
   // The permuted variable may land out of order relative to low/high, so
   // rebuild with ITE on the renamed variable rather than mk().
-  const NodeIndex var = mk(target, kFalseNode, kTrueNode);
-  const NodeIndex result = iteRec(var, high, low);
+  const NodeIndex lit = mk(target, kFalseNode, kTrueNode);
+  const NodeIndex result = iteRec(lit, high, low);
   cacheInsert(kOpPermute, f, permId, 0, result);
   return result;
 }
@@ -262,54 +269,60 @@ std::uint64_t Manager::dagSize(const Bdd& f) const {
 }
 
 std::uint64_t Manager::dagSize(const std::vector<Bdd>& fs) const {
-  // Scratch-marks walk: the reset is one memset of arena/8 bytes and each
-  // edge costs a bit test, an order of magnitude cheaper than hashing
-  // every visited node — dagSize sits on the engine chooser's probe path,
-  // where it runs against intermediate products thousands of nodes wide.
-  // Uses the same mutable scratch as GC, so the usual manager rule holds:
-  // not concurrently callable (see the snapshot-sharing contract).
-  marks_.assign(nodes_.size(), false);
-  std::vector<NodeIndex> stack;
+  std::vector<NodeIndex> roots;
+  roots.reserve(fs.size());
   for (const Bdd& f : fs) {
-    if (f.isNull() || f.index() < 2) continue;
-    if (!marks_[f.index()]) {
-      marks_[f.index()] = true;
-      stack.push_back(f.index());
+    if (!f.isNull()) roots.push_back(f.index());
+  }
+  return reachable(roots.data(), roots.size()).size();
+}
+
+const std::vector<NodeIndex>& Manager::reachable(const NodeIndex* roots,
+                                                 std::size_t count) const {
+  // Scratch-marks walk: each edge costs a bit test, an order of magnitude
+  // cheaper than hashing every visited node, and only the bits this walk
+  // set are cleared again, so a small DAG in a large arena costs its own
+  // size.  dagSize sits on the engine chooser's probe path and support on
+  // every conjunct append and every partitioned preimage.  Uses the same
+  // mutable scratch as GC, so the usual manager rule holds: not
+  // concurrently callable (see the snapshot-sharing contract).
+  if (marks_.size() < nodes_.size()) marks_.resize(nodes_.size(), false);
+  walk_.clear();
+  for (std::size_t r = 0; r < count; ++r) {
+    if (roots[r] >= 2 && !marks_[roots[r]]) {
+      marks_[roots[r]] = true;
+      walk_.push_back(roots[r]);
     }
   }
-  std::uint64_t count = 0;
-  while (!stack.empty()) {
-    const NodeIndex i = stack.back();
-    stack.pop_back();
-    ++count;
-    const Node& n = nodes_[i];
+  // walk_ doubles as the worklist: everything before k is expanded.
+  for (std::size_t k = 0; k < walk_.size(); ++k) {
+    const Node& n = nodes_[walk_[k]];
     if (n.low >= 2 && !marks_[n.low]) {
       marks_[n.low] = true;
-      stack.push_back(n.low);
+      walk_.push_back(n.low);
     }
     if (n.high >= 2 && !marks_[n.high]) {
       marks_[n.high] = true;
-      stack.push_back(n.high);
+      walk_.push_back(n.high);
     }
   }
-  return count;
+  for (NodeIndex i : walk_) marks_[i] = false;
+  return walk_;
 }
 
 std::vector<std::uint32_t> Manager::support(const Bdd& f) const {
-  std::unordered_set<NodeIndex> seen;
-  std::vector<NodeIndex> stack;
-  std::unordered_set<std::uint32_t> vars;
-  if (!f.isNull() && f.index() >= 2) stack.push_back(f.index());
-  while (!stack.empty()) {
-    NodeIndex i = stack.back();
-    stack.pop_back();
-    if (!seen.insert(i).second) continue;
-    const Node& n = nodes_[i];
-    vars.insert(n.var);
-    if (n.low >= 2) stack.push_back(n.low);
-    if (n.high >= 2) stack.push_back(n.high);
+  if (f.isNull()) return {};
+  const NodeIndex root = f.index();
+  if (varSeen_.size() < numVars_) varSeen_.resize(numVars_, false);
+  std::vector<std::uint32_t> out;
+  for (NodeIndex i : reachable(&root, 1)) {
+    const std::uint32_t var = nodes_[i].var;
+    if (!varSeen_[var]) {
+      varSeen_[var] = true;
+      out.push_back(var);
+    }
   }
-  std::vector<std::uint32_t> out(vars.begin(), vars.end());
+  for (std::uint32_t var : out) varSeen_[var] = false;
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -11,6 +11,7 @@ void CompositionalVerifier::addComponent(symbolic::SymbolicSystem sys) {
   components_.push_back(std::move(sys));
   expansions_.emplace_back();
   expansionBuilt_.push_back(false);
+  global_.reset();
   composed_.reset();
 }
 
@@ -32,6 +33,11 @@ const symbolic::SymbolicSystem& CompositionalVerifier::composed() {
     composed_ = symbolic::composeAll(components_);
   }
   return *composed_;
+}
+
+symbolic::Checker& CompositionalVerifier::globalChecker() {
+  if (!global_.has_value()) global_.emplace(composed(), checkerOpts_);
+  return *global_;
 }
 
 const symbolic::SymbolicSystem& CompositionalVerifier::expansion(
@@ -105,8 +111,7 @@ bool CompositionalVerifier::verify(const ctl::Spec& spec, ProofTree& proof,
                   false, {clsNode});
         return false;
       }
-      symbolic::Checker checker(composed(), checkerOpts_);
-      const bool ok = checker.holds(spec.r, spec.f);
+      const bool ok = globalChecker().holds(spec.r, spec.f);
       const std::size_t check =
           proof.add(ProofNode::Kind::ModelCheck,
                     "composed system |= " + ctl::toString(spec.f) +

@@ -34,10 +34,14 @@ class CompositionalVerifier {
   explicit CompositionalVerifier(symbolic::Context& ctx,
                                  symbolic::CheckerOptions opts = {})
       : ctx_(ctx), checkerOpts_(opts) {}
+  /// The cached global checker refers to this verifier's composed system.
+  CompositionalVerifier(const CompositionalVerifier&) = delete;
+  CompositionalVerifier& operator=(const CompositionalVerifier&) = delete;
 
   /// Preimage-engine options used for every obligation this verifier
   /// discharges (partitioned vs monolithic, clustering threshold).
   void setCheckerOptions(symbolic::CheckerOptions opts) {
+    global_.reset();
     checkerOpts_ = opts;
   }
   const symbolic::CheckerOptions& checkerOptions() const noexcept {
@@ -54,6 +58,11 @@ class CompositionalVerifier {
 
   /// The full composition M₁ ∘ … ∘ Mₙ (built lazily, cached).
   const symbolic::SymbolicSystem& composed();
+
+  /// The checker on composed() that global checks run on (built lazily,
+  /// cached).  A caller that needs a counterexample for a global verdict
+  /// asks this checker, which still holds the violation set it decided on.
+  symbolic::Checker& globalChecker();
 
   /// Verify `spec` on the composition compositionally where the classifier
   /// allows; returns the verdict and records every step in `proof`.
@@ -90,6 +99,7 @@ class CompositionalVerifier {
   std::vector<symbolic::SymbolicSystem> expansions_;  ///< lazy, parallel to components_
   std::vector<bool> expansionBuilt_;
   std::optional<symbolic::SymbolicSystem> composed_;
+  std::optional<symbolic::Checker> global_;  ///< on *composed_
 };
 
 }  // namespace cmc::comp

@@ -312,8 +312,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
           // The rules not establishing the spec is not a refutation (a
           // failing component premise says nothing about the composition);
           // decide with a direct check and record it in the certificate.
-          symbolic::Checker direct(verifier.composed(), copts);
-          ok = direct.holds(spec);
+          ok = verifier.globalChecker().holds(spec);
           proof.add(comp::ProofNode::Kind::ModelCheck,
                     "composed system |= " + ctl::toString(spec.f) +
                         "  (direct fallback)",
@@ -324,8 +323,10 @@ AttemptOutput runAttempt(const ObligationDesc& d,
         out.decided = true;
         out.proofJson = proof.toJson();
         if (!ok) {
-          symbolic::Checker direct(verifier.composed(), copts);
-          out.counterexample = extractCounterexample(direct, spec);
+          // The checker that decided the verdict still holds its
+          // violation set, so the witness costs no second fixpoint.
+          out.counterexample =
+              extractCounterexample(verifier.globalChecker(), spec);
         }
       }
     } catch (const symbolic::CancelledError& e) {

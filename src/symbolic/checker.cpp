@@ -12,6 +12,26 @@ namespace cmc::symbolic {
 using ctl::FormulaPtr;
 using ctl::Op;
 
+namespace {
+
+/// True iff the ascending vectors share an element.
+bool intersects(const std::vector<std::uint32_t>& a,
+                const std::vector<std::uint32_t>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i == *j) return true;
+    if (*i < *j) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 const char* toString(CancelReason reason) noexcept {
   switch (reason) {
     case CancelReason::Deadline: return "deadline";
@@ -61,21 +81,26 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
       std::set_difference(sys.vars.begin(), sys.vars.end(), framed.begin(),
                           framed.end(), std::back_inserter(owned));
       std::vector<std::uint32_t> quant;
+      std::vector<std::uint32_t> ownedCurrent;
       for (VarId v : owned) {
         for (std::uint32_t bit : ctx.variable(v).bits) {
           quant.push_back(Context::bddVarOf(bit, /*next=*/true));
+          ownedCurrent.push_back(Context::bddVarOf(bit, /*next=*/false));
         }
       }
       std::sort(quant.begin(), quant.end());
+      std::sort(ownedCurrent.begin(), ownedCurrent.end());
       PartitionedRelation core = t.core();
+      hasLocalStutter_ = hasLocalStutter_ || (owned.empty() && core.empty());
       core.clusterGreedy(opts_.clusterThreshold);
       tracks_.push_back(TrackPre{ctx.swapPermutation(owned), /*local=*/true,
+                                 std::move(ownedCurrent),
                                  PreimageSchedule(mgr, std::move(core), quant)});
     } else {
       PartitionedRelation track = t;
       track.clusterGreedy(opts_.clusterThreshold);
       tracks_.push_back(
-          TrackPre{swapPerm_, /*local=*/false,
+          TrackPre{swapPerm_, /*local=*/false, {},
                    PreimageSchedule(mgr, std::move(track), quantVars)});
     }
   }
@@ -93,9 +118,27 @@ bdd::Bdd Checker::preE(const bdd::Bdd& target) {
   // target and never materializes the monolithic relation.  Local
   // contributions are disjoined first and restricted to the state domain
   // once (see TrackPre).
+  //
+  // Frame test: when the target X mentions no next-state bit and none of a
+  // local track's owned variables, the partial swap leaves X unchanged and
+  // the track contributes X ∧ ∃owned'. core ⊆ X, which the local stutter
+  // track contributes anyway (docs/THEORY.md, "Partitioned transition
+  // relations").  Such a track cannot change the disjunction, so it is
+  // skipped: cost follows the components that write supp(X).
+  std::vector<std::uint32_t> supp;
+  bool frameTest = hasLocalStutter_;
+  if (frameTest) {
+    supp = mgr.support(target);
+    frameTest = std::none_of(supp.begin(), supp.end(), Context::isNextBddVar);
+  }
   bdd::Bdd out = mgr.bddFalse();
   bdd::Bdd localAcc = mgr.bddFalse();
   for (const TrackPre& t : tracks_) {
+    if (frameTest && t.local && !t.ownedCurrent.empty() &&
+        !intersects(t.ownedCurrent, supp)) {
+      ++skippedTracks_;
+      continue;
+    }
     const bdd::Bdd pre = t.schedule.relProduct(mgr.permute(target, t.permId));
     (t.local ? localAcc : out) |= pre;
   }
@@ -211,10 +254,19 @@ bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,
 
 bdd::Bdd Checker::violations(const ctl::Restriction& r,
                              const ctl::FormulaPtr& f) {
+  // The memo holds its own FormulaPtrs, so a key cannot be freed and its
+  // address reused by a different formula while the entry lives.
+  if (lastViolations_.has_value() && lastViolations_->f == f &&
+      lastViolations_->init == r.init &&
+      lastViolations_->fairness == r.fairness) {
+    return lastViolations_->bad;
+  }
   const FormulaPtr init = r.init != nullptr ? r.init : ctl::mkTrue();
   const bdd::Bdd satInit = sat(init, r.fairness);
   const bdd::Bdd satF = sat(f, r.fairness);
-  return domain_ & satInit & !satF;
+  lastViolations_ =
+      ViolationMemo{r.init, r.fairness, f, domain_ & satInit & !satF};
+  return lastViolations_->bad;
 }
 
 bool Checker::holds(const ctl::Restriction& r, const ctl::FormulaPtr& f) {

@@ -12,7 +12,9 @@
 // and the per-track preimages are disjoined.  The monolithic relation is
 // never materialized on this path.  CheckerOptions selects the path and
 // the clustering threshold; results are BDD-identical either way (asserted
-// by the cross-validation tests).
+// by the cross-validation tests).  On a composed system a preimage also
+// skips every component track that owns no variable of the target: the
+// stutter track already contributes a superset (frame test, see preE).
 #pragma once
 
 #include <functional>
@@ -104,7 +106,9 @@ class Checker {
   /// on top of the allocation totals.
   CheckResult check(const ctl::Spec& spec);
 
-  /// A human-readable description of one violating state, if any.
+  /// A human-readable description of one violating state, if any.  Right
+  /// after holds() on the same formulas it reuses that check's violation
+  /// set instead of solving again.
   std::optional<std::string> violationWitness(const ctl::Restriction& r,
                                               const ctl::FormulaPtr& f);
 
@@ -132,6 +136,8 @@ class Checker {
   const CheckerOptions& options() const noexcept { return opts_; }
   /// True iff preimages fold over the partition schedules.
   bool usesPartition() const noexcept { return partitioned_; }
+  /// Track preimages preE skipped by the frame test so far (see preE).
+  std::uint64_t skippedTracks() const noexcept { return skippedTracks_; }
 
  private:
   /// Invoke opts_.cancelCheck if set (see CheckerOptions::cancelCheck).
@@ -165,10 +171,28 @@ class Checker {
   struct TrackPre {
     std::uint32_t permId;
     bool local;
+    /// Current-state BDD vars of the owned variables, ascending (local
+    /// tracks only; empty for the stutter track).
+    std::vector<std::uint32_t> ownedCurrent;
     PreimageSchedule schedule;
   };
   std::vector<TrackPre> tracks_;  ///< empty on the monolithic path
   bool partitioned_ = false;
+  /// Some local track owns nothing and has no core: the stutter Id(Σ),
+  /// whose preimage of X is X itself.  preE's frame test needs it to
+  /// subsume the tracks it skips.
+  bool hasLocalStutter_ = false;
+  std::uint64_t skippedTracks_ = 0;
+
+  /// The last violations() result, keyed by the formulas it was asked for,
+  /// so violationWitness after a failing holds() runs no second fixpoint.
+  struct ViolationMemo {
+    ctl::FormulaPtr init;
+    std::vector<ctl::FormulaPtr> fairness;
+    ctl::FormulaPtr f;
+    bdd::Bdd bad;
+  };
+  std::optional<ViolationMemo> lastViolations_;
 };
 
 }  // namespace cmc::symbolic

@@ -1,6 +1,7 @@
 #include "symbolic/partition.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/common.hpp"
 
@@ -61,13 +62,20 @@ void PartitionedRelation::clusterGreedy(std::uint64_t nodeThreshold) {
   // Smallest conjuncts first: frames merge together cheaply and the big
   // component relation stays late in the fold, where most of its next-state
   // variables are already scheduled for quantification.
-  std::stable_sort(conjuncts_.begin(), conjuncts_.end(),
-                   [&](const Conjunct& a, const Conjunct& b) {
-                     return mgr.dagSize(a.rel) < mgr.dagSize(b.rel);
+  // Each size is measured once, not once per comparison.
+  std::vector<std::uint64_t> sizes;
+  sizes.reserve(conjuncts_.size());
+  for (const Conjunct& c : conjuncts_) sizes.push_back(mgr.dagSize(c.rel));
+  std::vector<std::size_t> order(conjuncts_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a] < sizes[b];
                    });
 
   std::vector<Conjunct> clusters;
-  for (Conjunct& c : conjuncts_) {
+  for (std::size_t i : order) {
+    Conjunct& c = conjuncts_[i];
     if (!clusters.empty()) {
       const bdd::Bdd merged = clusters.back().rel & c.rel;
       if (nodeThreshold == 0 || mgr.dagSize(merged) <= nodeThreshold) {

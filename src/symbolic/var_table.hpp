@@ -73,6 +73,8 @@ class Context {
   static std::uint32_t bddVarOf(std::uint32_t bit, bool next) {
     return 2 * bit + (next ? 1 : 0);
   }
+  /// True iff BDD var `v` is a next-state column (inverse of bddVarOf).
+  static bool isNextBddVar(std::uint32_t v) { return v % 2 == 1; }
 
   /// The predicate `var = value` over the current (or next) state bits.
   bdd::Bdd varEq(VarId id, const std::string& value, bool next = false);

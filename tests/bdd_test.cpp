@@ -120,6 +120,34 @@ TEST(BddPermute, SwapsVariables) {
   EXPECT_EQ(mgr.permute(mgr.permute(f, perm), perm), f);
 }
 
+TEST(BddPermute, ArenaGrowthDuringRenamingIsSafe) {
+  // OR(x_i ∧ y_i) with each pair adjacent is linear; renaming the pairs
+  // apart (x_i ↦ i, y_i ↦ 12 + i) is exponential, so a manager with a tiny
+  // arena reallocates it many times inside permuteRec's recursion.  The
+  // result must equal the function built directly with ITE (under ASan, a
+  // node reference held across the recursion is a use-after-free).
+  constexpr std::uint32_t kPairs = 12;
+  Manager mgr(64, 1024);
+  mgr.ensureVars(2 * kPairs);
+  Bdd f = mgr.bddFalse();
+  std::vector<std::uint32_t> perm(2 * kPairs);
+  for (std::uint32_t i = 0; i < kPairs; ++i) {
+    f |= mgr.bddVar(2 * i) & mgr.bddVar(2 * i + 1);
+    perm[2 * i] = i;
+    perm[2 * i + 1] = kPairs + i;
+  }
+  const std::size_t arenaBefore = mgr.arenaSize();
+  const Bdd renamed = mgr.permute(f, mgr.registerPermutation(perm));
+  EXPECT_GT(mgr.arenaSize(), 16 * arenaBefore);
+  Bdd reference = mgr.bddFalse();
+  for (std::uint32_t i = 0; i < kPairs; ++i) {
+    const Bdd term =
+        mgr.ite(mgr.bddVar(i), mgr.bddVar(kPairs + i), mgr.bddFalse());
+    reference = mgr.ite(term, mgr.bddTrue(), reference);
+  }
+  EXPECT_EQ(renamed, reference);
+}
+
 TEST(BddCounting, SatCount) {
   Manager mgr;
   const Bdd x = mgr.bddVar(0);
@@ -150,6 +178,16 @@ TEST(BddCounting, Support) {
   const std::vector<std::uint32_t> s = mgr.support(x & !z);
   EXPECT_EQ(s, (std::vector<std::uint32_t>{0, 2}));
   EXPECT_TRUE(mgr.support(mgr.bddTrue()).empty());
+  // The walks share scratch marks with GC; each must leave them clean for
+  // the next, in any interleaving.
+  const Bdd y = mgr.bddVar(1);
+  const Bdd f = (x & y) | z;
+  EXPECT_EQ(mgr.dagSize(f), 3u);
+  EXPECT_EQ(mgr.support(f), (std::vector<std::uint32_t>{0, 1, 2}));
+  mgr.collectGarbage();
+  EXPECT_EQ(mgr.support(y & z), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(mgr.dagSize(f), 3u);
+  EXPECT_EQ(mgr.support(f), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(BddWitness, PickCubeSatisfies) {

@@ -513,6 +513,124 @@ TEST(PartitionCrossValidation, ReorderThenCheckAgreesOnAllShippedModels) {
   }
 }
 
+// ---- Frame test: preE skips tracks that cannot change the target ----------
+
+std::string readModel(const std::string& relative) {
+  std::ifstream in(std::string(CMC_MODELS_DIR) + "/" + relative);
+  EXPECT_TRUE(in) << relative;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The composition the service checks composed obligations on: every
+/// module made reflexive, then composed.
+SymbolicSystem composeModules(const std::vector<smv::ElaboratedModule>& mods) {
+  std::vector<SymbolicSystem> systems;
+  for (const smv::ElaboratedModule& mod : mods) {
+    SymbolicSystem sys = mod.sys;
+    addReflexive(sys);
+    systems.push_back(std::move(sys));
+  }
+  return composeAll(systems);
+}
+
+void collectAxOperands(const ctl::FormulaPtr& f,
+                       std::vector<ctl::FormulaPtr>* out) {
+  if (f == nullptr) return;
+  if (f->op() == ctl::Op::AX) out->push_back(f->lhs());
+  collectAxOperands(f->lhs(), out);
+  collectAxOperands(f->rhs(), out);
+}
+
+/// Every `var = value` literal over the current-state bits of `sys`.
+std::vector<bdd::Bdd> currentLiterals(Context& ctx, const SymbolicSystem& sys) {
+  std::vector<bdd::Bdd> out;
+  for (VarId v : sys.vars) {
+    for (std::size_t k = 0; k < ctx.variable(v).values.size(); ++k) {
+      out.push_back(ctx.varEqIndex(v, k));
+    }
+  }
+  return out;
+}
+
+class FrameSkip : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FrameSkip, SkippingPreimagesEqualMonolithic) {
+  Context ctx(1 << 16);
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, readModel(GetParam()));
+  const SymbolicSystem whole = composeModules(modules);
+
+  std::vector<bdd::Bdd> targets = currentLiterals(ctx, whole);
+  Checker partitioned(whole);
+  ASSERT_TRUE(partitioned.usesPartition());
+  for (const smv::ElaboratedModule& mod : modules) {
+    for (const ctl::Spec& spec : mod.specs) {
+      std::vector<ctl::FormulaPtr> operands;
+      collectAxOperands(spec.f, &operands);
+      for (const ctl::FormulaPtr& q : operands) {
+        // AX q is ¬preE(¬q): ¬q is the target the checker hands preE.
+        targets.push_back(!partitioned.sat(q, spec.r.fairness));
+      }
+    }
+  }
+  ASSERT_GT(targets.size(), currentLiterals(ctx, whole).size());
+
+  CheckerOptions mono;
+  mono.usePartitionedTrans = false;
+  Checker monolithic(whole, mono);
+  for (const bdd::Bdd& target : targets) {
+    EXPECT_EQ(partitioned.preE(target), monolithic.preE(target));
+  }
+  EXPECT_GT(partitioned.skippedTracks(), 0u);
+  EXPECT_EQ(monolithic.skippedTracks(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(GeneratedModels, FrameSkip,
+                         ::testing::Values("gen/afs2_3.smv", "gen/ring_8.smv"));
+
+TEST(FrameSkipLimits, ComponentCheckersInASharedContextNeverSkip) {
+  // A component's alphabet does not cover the shared context, so its
+  // tracks fold generically and preE must not apply the frame test.
+  Context ctx(1 << 16);
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, readModel("gen/afs2_3.smv"));
+  ASSERT_GT(modules.size(), 1u);
+  for (const smv::ElaboratedModule& mod : modules) {
+    SymbolicSystem sys = mod.sys;
+    addReflexive(sys);
+    CheckerOptions mono;
+    mono.usePartitionedTrans = false;
+    Checker partitioned(sys);
+    Checker monolithic(sys, mono);
+    for (const bdd::Bdd& target : currentLiterals(ctx, sys)) {
+      EXPECT_EQ(partitioned.preE(target), monolithic.preE(target));
+    }
+    EXPECT_EQ(partitioned.skippedTracks(), 0u) << mod.sys.name;
+  }
+}
+
+TEST(FrameSkipLimits, TargetsWithANextStateBitNeverSkip) {
+  // The partial swap would rename a next-state bit of X, so X[owned↦owned']
+  // need not be X and the subsumption argument does not apply.
+  Context ctx(1 << 16);
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, readModel("gen/afs2_3.smv"));
+  const SymbolicSystem whole = composeModules(modules);
+  Checker partitioned(whole);
+  for (VarId v : whole.vars) {
+    // A next-state literal alone and beside a current-state one.
+    const bdd::Bdd next = ctx.varEqIndex(v, 0, /*next=*/true);
+    partitioned.preE(next);
+    partitioned.preE(next & ctx.varEqIndex(v, 0));
+  }
+  EXPECT_EQ(partitioned.skippedTracks(), 0u);
+  // The same checker does skip on current-state targets.
+  for (VarId v : whole.vars) partitioned.preE(ctx.varEqIndex(v, 0));
+  EXPECT_GT(partitioned.skippedTracks(), 0u);
+}
+
 TEST(PartitionCrossValidation, CheckResultAccounting) {
   Context ctx(1 << 16);
   ring::RingComponents comps = ring::buildRing(ctx, 3);
