@@ -99,11 +99,15 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
                      : "CHECK takes either 'model' or 'smv', not both";
         return false;
       }
-      if (hasKey(line, "only")) {
-        // Refused, not ignored: a peer relying on the retired filter would
-        // otherwise get a silent full run where it expected one obligation.
-        *error = "CHECK field 'only' is no longer supported";
-        return false;
+      // Retired fields are refused, not ignored: a peer relying on one
+      // would otherwise get a silent plain run where it expected something
+      // else (one obligation for "only", a learned proof for "learn").
+      for (const char* retired : {"only", "learn"}) {
+        if (hasKey(line, retired)) {
+          *error = std::string("CHECK field '") + retired +
+                   "' is no longer supported";
+          return false;
+        }
       }
       std::uint64_t deadlineMs = 0;
       const bool hadDeadline = hasKey(line, "deadline_ms");
@@ -116,8 +120,7 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
           !overlayBool(line, "reorder", &req.options.reorderBeforeCheck,
                        error) ||
           !overlayBool(line, "trace_force", &req.options.traceForce,
-                       error) ||
-          !overlayBool(line, "learn", &req.options.learn, error)) {
+                       error)) {
         return false;
       }
       if (hadDeadline) {

@@ -17,7 +17,8 @@
 //   CANCEL  {"cmd": "CANCEL", "id": "r1"}
 //   DRAIN   {"cmd": "DRAIN"}
 // Any other "cmd" is an unknown command (BAD_REQUEST), as is a CHECK that
-// carries the retired single-obligation filter "only".
+// carries a retired field: the single-obligation filter "only" or the
+// assume-guarantee learning switch "learn".
 //
 // Responses always carry "ok" (bool) and "cmd".  Failures carry "code" —
 // one of BAD_REQUEST, BUSY, DRAINING, NOT_FOUND, INTERNAL — plus a
@@ -55,7 +56,9 @@ constexpr std::size_t kMaxLineBytes = 8u << 20;
 /// now answer BAD_REQUEST, and CHECK responses lost their flat
 /// single-obligation fields.  A socket client that can write any verdict
 /// under any fingerprint breaks soundness, so no verb writes the cache.
-constexpr std::uint64_t kProtocolRevision = 6;
+/// rev 7 removed assume-guarantee learning: a CHECK with "learn" answers
+/// BAD_REQUEST.
+constexpr std::uint64_t kProtocolRevision = 7;
 
 /// Error codes of failure responses.
 inline constexpr const char* kBadRequest = "BAD_REQUEST";

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "agr/engine.hpp"
 #include "util/failpoint.hpp"
 #include "util/version.hpp"
 
@@ -430,13 +429,7 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
   state->running.store(true, std::memory_order_release);
   state->connFd.store(sock.fd(), std::memory_order_release);
   WallTimer runTimer;
-  // Learn-enabled checks route through the assume-guarantee engine; its
-  // service queries and fallbacks reuse this server's scheduler and cache.
-  service::JobReport report =
-      job.options.learn
-          ? agr::runLearnedJob(svc_, job, agr::LearnOptions{}, &trace_,
-                               &metrics_)
-          : svc_.run(job, &trace_, &state->cancel);
+  service::JobReport report = svc_.run(job, &trace_, &state->cancel);
   const double runSeconds = runTimer.seconds();
   state->connFd.store(-1, std::memory_order_release);
   state->running.store(false, std::memory_order_release);

@@ -92,19 +92,6 @@ struct JobOptions {
   /// of the obligation fingerprint: it changes how a verdict is *served*,
   /// never the verdict.
   bool traceForce = false;
-  /// Discharge composed obligations through the assume-guarantee learning
-  /// engine (agr::runLearnedJob) where the spec shape admits it, falling
-  /// back to the direct composed check otherwise.  Like traceForce this is
-  /// not part of the obligation fingerprint: the learned verdict is the
-  /// same ⊨_r verdict, derived differently.
-  bool learn = false;
-  /// Provenance of a synthetic assumption/environment module composed into
-  /// this job's model (agr teacher queries): the learned automaton's
-  /// content digest, or a per-step tag for membership queries.  Folded into
-  /// every obligation fingerprint so premise queries against two different
-  /// assumptions can never alias each other in the obligation cache.
-  /// Empty for ordinary jobs.
-  std::string assumptionDigest;
 };
 
 /// Builds a job's modules inside a fresh per-obligation context.  Used for
@@ -122,12 +109,6 @@ struct VerificationJob {
   ModelFactory factory;
   /// Provenance recorded in the report (e.g. the .smv path); may be empty.
   std::string sourcePath;
-  /// When non-empty, check only the obligation with this id
-  /// ("<target>/<spec name>"); every other enumerated obligation is
-  /// dropped before dispatch.  An id matching nothing yields a single
-  /// Error obligation.  The assume-guarantee engine's direct-check
-  /// fallback uses this to check one composed spec it could not learn.
-  std::string only;
   JobOptions options;
 };
 
@@ -146,6 +127,11 @@ struct AttemptRecord {
   double fixpointMs = 0.0;
 };
 
+/// Spec name of the single Error obligation ("<job>/<elaboration>") that
+/// stands for a job whose model failed to parse or elaborate: no spec
+/// obligation exists, and the error text is the front end's message.
+inline constexpr std::string_view kElaborationSpec = "<elaboration>";
+
 struct ObligationOutcome {
   std::string id;        ///< "<target>/<spec name>"
   std::string target;    ///< module name, or "composed"
@@ -153,8 +139,7 @@ struct ObligationOutcome {
   std::string specText;  ///< rendered CTL formula
   Verdict verdict = Verdict::Error;
   /// "checked" when the verdict came from running the checker, "cache"
-  /// when it was served by the obligation cache (zero attempts), "learned"
-  /// when the assume-guarantee engine discharged it.
+  /// when it was served by the obligation cache (zero attempts).
   std::string verdictSource = "checked";
   /// Content fingerprint used to address the obligation cache; empty when
   /// fingerprinting failed or the cache is disabled.
@@ -175,11 +160,6 @@ struct ObligationOutcome {
   std::string error;           ///< non-empty for Verdict::Error
   std::string counterexample;  ///< trace for failing AG specs, if derivable
   std::string proofJson;       ///< ProofTree certificate (composed only)
-  /// JSON object describing the assume-guarantee learning run that decided
-  /// (verdict_source "learned": assumption size, query counts, partition)
-  /// or declined (fallback_reason) this composed obligation.  Empty for
-  /// ordinary obligations.
-  std::string learnedJson;
 };
 
 struct JobReport {

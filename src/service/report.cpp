@@ -93,7 +93,6 @@ std::string outcomeJson(const ObligationOutcome& o) {
   if (!o.error.empty()) obj.put("error", o.error);
   if (!o.counterexample.empty()) obj.put("counterexample", o.counterexample);
   if (!o.proofJson.empty()) obj.putRaw("proof", o.proofJson);
-  if (!o.learnedJson.empty()) obj.putRaw("learned", o.learnedJson);
   return obj.str();
 }
 
@@ -112,8 +111,7 @@ std::string JobReport::toJson() const {
       .put("engine", symbolic::toString(options.engine))
       .putBool("retry_other_engine", options.retryOtherEngine)
       .putBool("compose", options.compose)
-      .putUint("cluster_threshold", options.clusterThreshold)
-      .putBool("learn", options.learn);
+      .putUint("cluster_threshold", options.clusterThreshold);
 
   JsonObject root;
   root.put("job", job)

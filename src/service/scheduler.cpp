@@ -815,19 +815,6 @@ std::vector<JobReport> VerificationService::runBatch(
         }
       }
       state.descs = descs;
-      // A single-obligation job (the learner's direct-check fallback)
-      // filters AFTER enumeration, so its id and fingerprint are the ones
-      // a full run of the same model yields.  The memo keeps the
-      // unfiltered list — `only` prunes this job's private copy.
-      if (!job.only.empty()) {
-        std::erase_if(state.descs, [&job](const ObligationDesc& d) {
-          return d.id != job.only;
-        });
-        if (state.descs.empty()) {
-          state.scoutError =
-              "job '" + job.name + "' has no obligation '" + job.only + "'";
-        }
-      }
       for (ObligationDesc& d : state.descs) {
         d.job = &job;
         d.jobName = job.name;
@@ -902,7 +889,8 @@ std::vector<JobReport> VerificationService::runBatch(
     report.options = job.options;
     if (!state.scoutError.empty()) {
       ObligationOutcome bad;
-      bad.id = job.name + "/<elaboration>";
+      bad.spec = kElaborationSpec;
+      bad.id = job.name + "/" + bad.spec;
       bad.target = job.name;
       bad.verdict = Verdict::Error;
       bad.error = state.scoutError;

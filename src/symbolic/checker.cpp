@@ -124,17 +124,21 @@ bdd::Bdd Checker::preE(const bdd::Bdd& target) {
   // the track contributes X ∧ ∃owned'. core ⊆ X, which the local stutter
   // track contributes anyway (docs/THEORY.md, "Partitioned transition
   // relations").  Such a track cannot change the disjunction, so it is
-  // skipped: cost follows the components that write supp(X).
+  // skipped: cost follows the components that write supp(X).  The same
+  // support walk enforces preE's precondition: a next-state bit in X would
+  // be renamed by the partial swap, and the local tracks would no longer
+  // agree with the monolithic preimage.
   std::vector<std::uint32_t> supp;
-  bool frameTest = hasLocalStutter_;
-  if (frameTest) {
+  if (hasLocalStutter_) {
     supp = mgr.support(target);
-    frameTest = std::none_of(supp.begin(), supp.end(), Context::isNextBddVar);
+    if (std::any_of(supp.begin(), supp.end(), Context::isNextBddVar)) {
+      throw Error("preE: the target mentions a next-state variable");
+    }
   }
   bdd::Bdd out = mgr.bddFalse();
   bdd::Bdd localAcc = mgr.bddFalse();
   for (const TrackPre& t : tracks_) {
-    if (frameTest && t.local && !t.ownedCurrent.empty() &&
+    if (hasLocalStutter_ && t.local && !t.ownedCurrent.empty() &&
         !intersects(t.ownedCurrent, supp)) {
       ++skippedTracks_;
       continue;

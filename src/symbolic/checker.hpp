@@ -130,6 +130,9 @@ class Checker {
 
   /// States with at least one successor under the partitioned (or
   /// monolithic) relation — exposed for the partition tests.
+  /// Precondition: `target` is a set of current states (its support holds
+  /// no next-state variable).  On a composed system with a stutter track
+  /// a violating target throws cmc::Error; elsewhere it is not checked.
   bdd::Bdd preE(const bdd::Bdd& target);
 
   const SymbolicSystem& system() const noexcept { return sys_; }

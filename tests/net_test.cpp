@@ -204,8 +204,9 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
 
 TEST(NetProtocol, RetiredVerbsAndTheOnlyFilterAreRejected) {
   // Rev 6 removed the multi-daemon verbs and the single-obligation CHECK
-  // filter; each is now a typed parse error, never a silent full run.
-  EXPECT_EQ(kProtocolRevision, 6u);
+  // filter, rev 7 the learning switch; each is now a typed parse error,
+  // never a silent plain run.
+  EXPECT_EQ(kProtocolRevision, 7u);
   const service::JobOptions defaults;
   Request req;
   std::string err;
@@ -220,6 +221,11 @@ TEST(NetProtocol, RetiredVerbsAndTheOnlyFilterAreRejected) {
       "{\"cmd\": \"CHECK\", \"model\": \"m.smv\", \"only\": \"m/SPEC0\"}",
       defaults, &req, &err));
   EXPECT_NE(err.find("'only'"), std::string::npos) << err;
+  EXPECT_FALSE(parseRequest(
+      "{\"cmd\": \"CHECK\", \"model\": \"m.smv\", \"learn\": true}",
+      defaults, &req, &err));
+  EXPECT_NE(err.find("'learn' is no longer supported"), std::string::npos)
+      << err;
   // The five verbs that remain still parse.
   for (const char* cmd : {"STATUS", "STATS", "DRAIN"}) {
     EXPECT_TRUE(parseRequest(std::string("{\"cmd\": \"") + cmd + "\"}",
@@ -306,7 +312,7 @@ TEST(NetServer, RemovedEngineValuesGetBadRequest) {
         << err;
     std::uint64_t rev = 0;
     EXPECT_TRUE(service::jsonExtractUint(resp, "protocol_rev", &rev)) << cmd;
-    EXPECT_EQ(rev, 6u) << cmd;
+    EXPECT_EQ(rev, 7u) << cmd;
   }
 }
 
@@ -332,11 +338,18 @@ TEST(NetServer, NoRequestWritesAVerdictOrNarrowsACheck) {
     ASSERT_TRUE(c.request(put.str(), &resp, &err)) << err;
     EXPECT_NE(resp.find(kBadRequest), std::string::npos) << cmd << resp;
   }
-  // A CHECK still carrying "only" is refused rather than run in full.
+  // A CHECK still carrying "only" or "learn" is refused rather than run
+  // in full.
   ASSERT_TRUE(c.request(checkRequest("only", failing, "\"only\": \"m/m.SPEC0\""),
                         &resp, &err))
       << err;
   EXPECT_NE(resp.find(kBadRequest), std::string::npos) << resp;
+  ASSERT_TRUE(
+      c.request(checkRequest("learn", failing, "\"learn\": true"), &resp, &err))
+      << err;
+  EXPECT_NE(resp.find(kBadRequest), std::string::npos) << resp;
+  EXPECT_NE(resp.find("'learn' is no longer supported"), std::string::npos)
+      << resp;
 
   // The spec still fails, now served from the cache the first run filled.
   ASSERT_TRUE(c.request(checkRequest("warm", failing), &resp, &err)) << err;

@@ -196,6 +196,32 @@ TEST(ObligationCacheUnit, OnlyDecidedVerdictsAreCacheable) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(ObligationCacheUnit, FingerprintBytesArePinned) {
+  // Every store ever written is addressed by these bytes: a change to what
+  // obligationFingerprint hashes silently turns a warm store cold.  The
+  // literals are the CLI's addresses (`cmc check --compose`, engine auto)
+  // for one component and one composed obligation of the shipped model.
+  std::ifstream in(fs::path(CMC_MODELS_DIR) / "afs2_composed.smv");
+  std::stringstream text;
+  text << in.rdbuf();
+  VerificationJob job;
+  job.name = "afs2_composed";
+  job.smvText = text.str();
+  job.options.compose = true;
+  job.options.engine = symbolic::EngineMode::Auto;
+  const SnapshotResult snap = buildSnapshot(job, /*wantCanon=*/true);
+  ASSERT_TRUE(snap.snapshot) << snap.error;
+  std::map<std::string, std::string> fingerprints;
+  for (const ObligationRef& ref :
+       enumerateObligations(*snap.snapshot, job.options)) {
+    fingerprints[ref.id] = ref.fingerprint;
+  }
+  EXPECT_EQ(fingerprints["afs2server/afs2server.SPEC1"],
+            "b4d65ea6d47da993375168b35f2cd859");
+  EXPECT_EQ(fingerprints["composed/afs2server.SPEC1"],
+            "37fd4c155e5e1248f9b04facf7424923");
+}
+
 TEST(ObligationCacheUnit, LruEvictsBeyondCapacity) {
   ObligationCache::Options opts;
   opts.capacity = 16;  // one entry per shard

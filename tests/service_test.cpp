@@ -228,8 +228,9 @@ TEST(Service, ElaborationFailureIsAnErrorOutcomeNotACrash) {
 
   EXPECT_EQ(report.verdict, Verdict::Error);
   ASSERT_EQ(report.obligations.size(), 1u);
-  EXPECT_NE(report.obligations.front().id.find("<elaboration>"),
-            std::string::npos);
+  // The CLI keys its exit code 2 on this spec name.
+  EXPECT_EQ(report.obligations.front().id, "broken/<elaboration>");
+  EXPECT_EQ(report.obligations.front().spec, kElaborationSpec);
   EXPECT_FALSE(report.obligations.front().error.empty());
 }
 
@@ -249,36 +250,6 @@ TEST(Service, BatchInterleavesJobsAndReportsInOrder) {
   EXPECT_TRUE(reports[0].allHold());
   EXPECT_TRUE(reports[1].allHold());
   EXPECT_EQ(trace.countContaining("\"event\": \"job_end\""), 2u);
-}
-
-TEST(Service, OnlyChecksExactlyTheNamedObligation) {
-  // The assume-guarantee fallback's single-obligation job: the id and
-  // fingerprint it checks are the ones a full run of the model enumerates.
-  VerificationJob job;
-  job.name = "two";
-  job.smvText = kTwoModuleSmv;
-  job.options.compose = true;
-  const SnapshotResult snap = buildSnapshot(job, true);
-  ASSERT_TRUE(snap.snapshot) << snap.error;
-  const std::vector<ObligationRef> refs =
-      enumerateObligations(*snap.snapshot, job.options);
-  ASSERT_EQ(refs.size(), 4u);  // 2 component + 2 composed
-
-  VerificationService svc(withThreads(1));
-  job.only = refs[3].id;
-  const JobReport first = svc.run(job);
-  ASSERT_EQ(first.obligations.size(), 1u);
-  EXPECT_EQ(first.obligations[0].id, refs[3].id);
-  EXPECT_EQ(first.obligations[0].fingerprint, refs[3].fingerprint);
-  EXPECT_EQ(first.obligations[0].verdictSource, "checked");
-  EXPECT_EQ(first.verdict, Verdict::Holds);
-  // The same obligation again is a cache hit.
-  const JobReport second = svc.run(job);
-  ASSERT_EQ(second.obligations.size(), 1u);
-  EXPECT_EQ(second.obligations[0].verdictSource, "cache");
-  // An id that matches nothing is an Error, not a silent empty report.
-  job.only = "mA/no_such_spec";
-  EXPECT_EQ(svc.run(job).verdict, Verdict::Error);
 }
 
 TEST(Service, JsonEscapingHandlesControlCharacters) {

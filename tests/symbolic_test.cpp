@@ -613,7 +613,8 @@ TEST(FrameSkipLimits, ComponentCheckersInASharedContextNeverSkip) {
 
 TEST(FrameSkipLimits, TargetsWithANextStateBitNeverSkip) {
   // The partial swap would rename a next-state bit of X, so X[owned↦owned']
-  // need not be X and the subsumption argument does not apply.
+  // need not be X and the local tracks would disagree with the monolithic
+  // preimage: preE refuses such a target instead of skipping or answering.
   Context ctx(1 << 16);
   const std::vector<smv::ElaboratedModule> modules =
       smv::elaborateProgram(ctx, readModel("gen/afs2_3.smv"));
@@ -622,8 +623,8 @@ TEST(FrameSkipLimits, TargetsWithANextStateBitNeverSkip) {
   for (VarId v : whole.vars) {
     // A next-state literal alone and beside a current-state one.
     const bdd::Bdd next = ctx.varEqIndex(v, 0, /*next=*/true);
-    partitioned.preE(next);
-    partitioned.preE(next & ctx.varEqIndex(v, 0));
+    EXPECT_THROW(partitioned.preE(next), Error);
+    EXPECT_THROW(partitioned.preE(next & ctx.varEqIndex(v, 0)), Error);
   }
   EXPECT_EQ(partitioned.skippedTracks(), 0u);
   // The same checker does skip on current-state targets.

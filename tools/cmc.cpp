@@ -47,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "agr/engine.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/obligation_cache.hpp"
@@ -63,9 +62,6 @@ constexpr const char* kUsage = R"(usage: cmc <command> [options] <model.smv> [mo
 
 commands:
   check       parse, elaborate and verify every SPEC of the given models
-  learn       like `check --compose --learn`: discharge composed specs by
-              the assume-guarantee rule with an L*-learned assumption
-              (see docs/THEORY.md "Learned assumptions")
   serve       run the persistent verification daemon (wire protocol over a
               Unix-domain socket; see README.md "Server mode")
   submit      client for a serving daemon: submit checks,
@@ -79,13 +75,6 @@ commands:
 cmc check options:
   --compose          also verify each spec on the composition of all modules
                      (compositional rules first, certificate in the report)
-  --learn            discharge composed specs through assume-guarantee
-                     learning where possible (implies --compose): a learned
-                     assumption automaton replaces the product build; specs
-                     that resist learning fall back to the direct composed
-                     check, so verdicts never change.  The report carries
-                     verdict_source "learned" plus the assumption size and
-                     query counts per discharged spec
   --engine MODE      first-attempt verification engine:
                        auto         probe the monolithic product size per
                                     obligation, pick the cheaper symbolic
@@ -133,7 +122,7 @@ cmc serve options:
                      period of the "metrics" JSONL trace event (default
                      10000; 0 = off)
   plus, as in check: --threads --cache-dir --no-cache --trace --failpoint,
-  and the job-option defaults (--compose --learn --engine --no-retry
+  and the job-option defaults (--compose --engine --no-retry
   --trace-force --deadline-ms --node-budget --cluster --reorder), which
   requests overlay per CHECK.  --threads is how one daemon scales: every
   request's obligations share that worker pool and one cache.
@@ -256,11 +245,6 @@ int parseArgs(int argc, char** argv, CliOptions* cli) {
     };
     if (arg == "--compose") {
       cli->job.compose = true;
-    } else if (arg == "--learn") {
-      // Learning only applies to composed obligations; asking for it is
-      // asking for the composition.
-      cli->job.learn = true;
-      cli->job.compose = true;
     } else if (arg == "--engine") {
       if (!parseEngineMode(next(), &cli->job.engine)) return 2;
     } else if (arg == "--no-retry") {
@@ -342,10 +326,11 @@ void printReport(const service::JobReport& report, bool quiet) {
       std::string text = o.specText;
       if (text.size() > 56) text = text.substr(0, 53) + "...";
       std::cout << "-- [" << o.target << "] " << o.spec << "  " << text
-                << "  : " << service::toString(o.verdict) << " (" << o.rule
-                << (o.verdictSource != "checked" ? ", " + o.verdictSource
+                << "  : " << service::toString(o.verdict) << " ("
+                << (o.rule.empty() ? "" : o.rule + ", ")
+                << (o.verdictSource != "checked" ? o.verdictSource + ", "
                                                  : "")
-                << (o.retried ? ", retried" : "") << ", "
+                << (o.retried ? "retried, " : "")
                 << service::jsonNumber(o.seconds) << " s)\n";
       if (!o.error.empty()) std::cout << "--   error: " << o.error << "\n";
       if (!o.counterexample.empty()) {
@@ -424,19 +409,7 @@ int runCheck(const CliOptions& cli) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  std::vector<service::JobReport> reports;
-  if (cli.job.learn) {
-    // Learned runs drive the service job by job: each spec spawns its own
-    // query obligations through svc (cached and budgeted as usual), so the
-    // batch pool interleaving buys nothing here.
-    reports.reserve(jobs.size());
-    for (const service::VerificationJob& job : jobs) {
-      reports.push_back(
-          agr::runLearnedJob(svc, job, agr::LearnOptions{}, &trace));
-    }
-  } else {
-    reports = svc.runBatch(jobs, &trace);
-  }
+  const std::vector<service::JobReport> reports = svc.runBatch(jobs, &trace);
 
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -476,9 +449,16 @@ int runCheck(const CliOptions& cli) {
   }
 
   service::Verdict verdict = service::Verdict::Holds;
+  bool elaborationFailed = false;
   for (const service::JobReport& report : reports) {
     printReport(report, cli.quiet);
     verdict = service::worseVerdict(verdict, report.verdict);
+    for (const service::ObligationOutcome& o : report.obligations) {
+      if (o.spec != service::kElaborationSpec) continue;
+      // A model error, not a verdict: say so on stderr even under --quiet.
+      std::cerr << "cmc: " << report.source << ": " << o.error << "\n";
+      elaborationFailed = true;
+    }
   }
   if (const service::ObligationCache* cache = svc.cache()) {
     const service::ObligationCacheStats stats = cache->stats();
@@ -497,8 +477,9 @@ int runCheck(const CliOptions& cli) {
                  "re-run with the same --cache-dir to finish\n";
     return 128 + sig;
   }
-  // An Error verdict (failed elaboration, or an exception that survived
-  // quarantine) is an operational failure even in the default mode.
+  if (elaborationFailed) return 2;
+  // An Error verdict (an exception that survived quarantine) is an
+  // operational failure even in the default mode.
   if (verdict == service::Verdict::Error) return 5;
   if (!cli.strict) return 0;
   switch (verdict) {
@@ -740,7 +721,7 @@ struct SubmitOptions {
   // the rest.
   bool setCompose = false, setEngine = false, setNoRetry = false;
   bool setDeadline = false, setNodeBudget = false, setCluster = false;
-  bool setReorder = false, setTraceForce = false, setLearn = false;
+  bool setReorder = false, setTraceForce = false;
   std::vector<std::string> models;
 };
 
@@ -800,11 +781,6 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
     } else if (arg == "--compose") {
       opts->job.compose = true;
       opts->setCompose = true;
-    } else if (arg == "--learn") {
-      opts->job.learn = true;
-      opts->job.compose = true;
-      opts->setLearn = true;
-      opts->setCompose = true;
     } else if (arg == "--engine") {
       if (!parseEngineMode(next(), &opts->job.engine)) return 2;
       opts->setEngine = true;
@@ -863,7 +839,6 @@ std::string buildCheckRequest(const SubmitOptions& opts, const std::string& id,
   req.put("cmd", "CHECK").put("id", id);
   if (!name.empty()) req.put("name", name);
   if (opts.setCompose) req.putBool("compose", opts.job.compose);
-  if (opts.setLearn) req.putBool("learn", opts.job.learn);
   if (opts.setReorder) req.putBool("reorder", opts.job.reorderBeforeCheck);
   if (opts.setNoRetry) req.putBool("no_retry", !opts.job.retryOtherEngine);
   if (opts.setTraceForce) req.putBool("trace_force", opts.job.traceForce);
@@ -1095,12 +1070,8 @@ int main(int argc, char** argv) {
     return runFailpoints();
   }
   try {
-    if (command == "check" || command == "learn") {
+    if (command == "check") {
       CliOptions cli;
-      if (command == "learn") {
-        cli.job.learn = true;
-        cli.job.compose = true;
-      }
       if (const int rc = parseArgs(argc, argv, &cli); rc != 0) return rc;
       return runCheck(cli);
     }
