@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +25,11 @@ struct JsonEntry {
   std::string spec;
   bool holds = false;
   double seconds = 0.0;
-  std::uint64_t nodesAllocated = 0;
-  std::uint64_t transNodes = 0;
-  std::uint64_t peakLiveNodes = 0;
+  // BDD counters, written only when the row measured them (a service row
+  // sees its workers' managers only through the job report).
+  std::optional<std::uint64_t> nodesAllocated;
+  std::optional<std::uint64_t> transNodes;
+  std::optional<std::uint64_t> peakLiveNodes;
   double cacheHitRate = 0.0;
   std::string mode;  ///< e.g. "monolithic" / "partitioned"; may be empty
   /// Engine configuration the row ran under, so results are comparable
@@ -91,21 +94,26 @@ inline void writeJsonReport(const std::string& name) {
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [\n",
                jsonEscape(name).c_str());
   const std::vector<JsonEntry>& entries = jsonEntries();
+  const auto counter = [](const char* key,
+                          const std::optional<std::uint64_t>& v) {
+    return v.has_value() ? "\"" + std::string(key) + "\": " +
+                               std::to_string(*v) + ", "
+                         : std::string();
+  };
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const JsonEntry& e = entries[i];
+    const std::string counters = counter("nodes_allocated", e.nodesAllocated) +
+                                 counter("trans_nodes", e.transNodes) +
+                                 counter("peak_live_nodes", e.peakLiveNodes);
     std::fprintf(
         f,
         "    {\"model\": \"%s\", \"spec\": \"%s\", \"holds\": %s, "
-        "\"seconds\": %.6f, \"nodes_allocated\": %llu, \"trans_nodes\": "
-        "%llu, \"peak_live_nodes\": %llu, \"cache_hit_rate\": %.4f, "
+        "\"seconds\": %.6f, %s\"cache_hit_rate\": %.4f, "
         "\"mode\": \"%s\", \"cluster_threshold\": %llu, "
         "\"reorder\": %s}%s\n",
         jsonEscape(e.model).c_str(), jsonEscape(e.spec).c_str(),
-        e.holds ? "true" : "false", e.seconds,
-        static_cast<unsigned long long>(e.nodesAllocated),
-        static_cast<unsigned long long>(e.transNodes),
-        static_cast<unsigned long long>(e.peakLiveNodes), e.cacheHitRate,
-        jsonEscape(e.mode).c_str(),
+        e.holds ? "true" : "false", e.seconds, counters.c_str(),
+        e.cacheHitRate, jsonEscape(e.mode).c_str(),
         static_cast<unsigned long long>(e.clusterThreshold),
         e.reorder ? "true" : "false", i + 1 < entries.size() ? "," : "");
   }

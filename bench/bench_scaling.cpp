@@ -12,14 +12,17 @@
 //    product directly (state space grows as ~168^n · 2);
 //  - compose sweep: the genmodel AFS-2 job at n = 2..32 as `cmc check
 //    --compose --threads 1 --no-cache` runs it (one worker, cold), recorded
-//    as the "service-compose-1worker" rows of BENCH_scaling.json.  Every
-//    composed spec is a global fixpoint here, so this is the curve the
-//    preimage frame test (docs/THEORY.md) flattens.
+//    as the "service-compose-1worker" rows of BENCH_scaling.json with the
+//    job's largest attempt peak_live_nodes.  Every composed spec is a
+//    global fixpoint here, so this is the curve the preimage frame test
+//    (docs/THEORY.md) flattens and the shared composed product lowers.
 //
 // Expected shape: compositional time grows ~linearly in n; monolithic time
 // grows superlinearly (exponential state space, BDD sizes compound), with
 // the crossover at small n.  The report prints a per-n table; the
 // google-benchmark section gives the precise timings.
+#include <algorithm>
+
 #include "afs/afs2.hpp"
 #include "afs/verify_afs2.hpp"
 #include "bench_common.hpp"
@@ -48,9 +51,8 @@ bool monolithicCheck(int n, std::uint64_t* transNodes) {
 }
 
 /// The genmodel AFS-2 job with n clients, composed, on a fresh uncached
-/// service with `threads` workers (0 = every core); true iff every
-/// obligation holds.
-bool serviceCheck(int n, unsigned threads = 0) {
+/// service with `threads` workers (0 = every core).
+service::JobReport serviceRun(int n, unsigned threads) {
   service::VerificationJob job;
   job.name = "afs2-" + std::to_string(n);
   job.smvText = gen::afs2Model(static_cast<std::size_t>(n));
@@ -60,7 +62,12 @@ bool serviceCheck(int n, unsigned threads = 0) {
   sopts.threads = threads;
   sopts.cacheEnabled = false;
   service::VerificationService svc(sopts);
-  return svc.run(job).allHold();
+  return svc.run(job);
+}
+
+/// True iff every obligation of serviceRun(n, threads) holds.
+bool serviceCheck(int n, unsigned threads = 0) {
+  return serviceRun(n, threads).allHold();
 }
 
 /// The compose sweep: one cold one-worker job per size.  Sizes after the
@@ -69,24 +76,36 @@ bool serviceCheck(int n, unsigned threads = 0) {
 void composeSweep() {
   constexpr double kSweepBudgetSeconds = 10.0;
   std::printf("== afs2-n --compose, one worker, cold (genmodel) ==\n");
-  std::printf("%3s  %10s  %s\n", "n", "job (s)", "verdict");
+  std::printf("%3s  %10s  %12s  %s\n", "n", "job (s)", "peak nodes",
+              "verdict");
   bool skipping = false;
   for (int n : {2, 4, 8, 12, 16, 24, 32}) {
     if (skipping) {
-      std::printf("%3d  %10s  skipped (previous size over %.0f s)\n", n, "-",
-                  kSweepBudgetSeconds);
+      std::printf("%3d  %10s  %12s  skipped (previous size over %.0f s)\n",
+                  n, "-", "-", kSweepBudgetSeconds);
       continue;
     }
     WallTimer timer;
-    const bool ok = serviceCheck(n, /*threads=*/1);
+    const service::JobReport report = serviceRun(n, /*threads=*/1);
     const double seconds = timer.seconds();
-    std::printf("%3d  %10.4f  %s\n", n, seconds,
+    const bool ok = report.allHold();
+    // The job's largest attempt, as each attempt record counts it: the
+    // worker manager's live nodes from the attempt's start.
+    std::uint64_t peak = 0;
+    for (const service::ObligationOutcome& o : report.obligations) {
+      for (const service::AttemptRecord& a : o.attempts) {
+        peak = std::max(peak, a.peakLiveNodes);
+      }
+    }
+    std::printf("%3d  %10.4f  %12llu  %s\n", n, seconds,
+                static_cast<unsigned long long>(peak),
                 ok ? "all hold" : "SOME FAILED");
     bench::JsonEntry e;
     e.model = "afs2-" + std::to_string(n);
     e.spec = "all obligations (--compose)";
     e.holds = ok;
     e.seconds = seconds;
+    e.peakLiveNodes = peak;
     e.mode = "service-compose-1worker";
     e.clusterThreshold = 1024;
     bench::recordResult(std::move(e));

@@ -15,7 +15,8 @@
 #      never "checked") — the warm-win the daemon exists for.
 #   4. STATS must be self-consistent: checks_admitted == checks_completed,
 #      request_seconds_count matches, the cumulative +Inf latency bucket
-#      equals the count, and nothing is left in flight.
+#      equals the count, and nothing is left in flight.  Then a model with
+#      a syntax error must make submit exit 2 with the parse message.
 #   5. SIGTERM must drain: the daemon exits 0, reports the drain on
 #      stdout, unlinks its socket, and leaves the decided verdicts in its
 #      cache-dir store.
@@ -116,6 +117,17 @@ completed=$(metric checks_completed)
 [ "$(metric requests_queued)" -eq 0 ] || fail "requests still queued"
 [ "$(metric checks_rejected_busy)" -eq 0 ] || fail "unexpected BUSY rejections"
 note "STATS consistent: $admitted admitted == $completed completed"
+
+# A model that does not parse is a model error: exit 2 with the parse
+# message on stderr, not an Error verdict (exit 5).
+printf 'MODULE main\nVAR x : boolean\nSPEC AG x\n' > "$WORK/syntax_error.smv"
+rc=0
+"$CMC" submit --socket "$SOCK" --quiet "$WORK/syntax_error.smv" \
+  > "$WORK/syntax.log" 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "syntax-error submit exited $rc, want 2: $(cat "$WORK/syntax.log")"
+grep -q "parse error" "$WORK/syntax.log" \
+  || fail "syntax-error submit printed no parse message: $(cat "$WORK/syntax.log")"
+note "syntax-error submission: exit 2 with the parse message"
 
 # ---------------------------------------------------------------------------
 # 5. SIGTERM drains and exits 0

@@ -13,11 +13,13 @@
 //    certificate shows which steps were compositional.
 //
 // Running many such obligations in parallel is the service layer's job
-// (service::VerificationService): each obligation gets its own BDD manager
-// (managers are single-threaded), so obligations scale with cores — the
-// engine behind the §5 claim of linear cost in the number of components.
+// (service::VerificationService): each worker checks composed obligations
+// in its own BDD manager (managers are single-threaded), and one verifier
+// there serves every composed spec of a job, so the composition and its
+// global checker are built once per worker, not once per spec.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -46,6 +48,13 @@ class CompositionalVerifier {
   }
   const symbolic::CheckerOptions& checkerOptions() const noexcept {
     return checkerOpts_;
+  }
+  /// Replace only the cancellation hook, for the checkers built from here
+  /// on and for the cached global checker (which setCheckerOptions would
+  /// drop): one verifier then serves attempts with different budgets.
+  void setCancelCheck(const std::function<void()>& hook) {
+    checkerOpts_.cancelCheck = hook;
+    if (global_.has_value()) global_->setCancelCheck(hook);
   }
 
   /// Register a component (copied; cheap — BDD handles).

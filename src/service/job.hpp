@@ -125,6 +125,12 @@ struct AttemptRecord {
   double elaborateMs = 0.0;
   double importMs = 0.0;
   double fixpointMs = 0.0;
+  /// Composed obligations: time spent building the composed product
+  /// (import or elaboration, reflexive closure, composition, engine probe
+  /// and the global Checker); includes importMs/elaborateMs.  0 when the
+  /// attempt reused a product an earlier obligation of the job built.
+  double productMs = 0.0;
+  bool productReused = false;
 };
 
 /// Spec name of the single Error obligation ("<job>/<elaboration>") that

@@ -64,6 +64,8 @@ std::string attemptJson(const AttemptRecord& a) {
       .putDouble("elaborate_ms", a.elaborateMs)
       .putDouble("import_ms", a.importMs)
       .putDouble("fixpoint_ms", a.fixpointMs)
+      .putDouble("product_ms", a.productMs)
+      .putBool("product_reused", a.productReused)
       .str();
 }
 

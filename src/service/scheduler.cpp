@@ -1,10 +1,19 @@
 #include "service/scheduler.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "comp/classify.hpp"
@@ -180,8 +189,9 @@ struct AttemptOutput {
   AttemptRecord record;
   bool decided = false;  ///< verdict is Holds/Fails (not budget/error)
   Lane lane = Lane::Partitioned;  ///< engine actually used
-  /// EngineMode::Auto was resolved during this attempt (worker-side probe
-  /// on the rebuild path); `choice` then carries the decision.
+  /// EngineMode::Auto was resolved during this attempt (a worker-side
+  /// probe, or the composed choice a sibling obligation published);
+  /// `choice` then carries the decision.
   bool autoResolved = false;
   symbolic::EngineChoice choice;
   std::string rule;
@@ -190,91 +200,296 @@ struct AttemptOutput {
   std::string error;
 };
 
-/// One engine attempt.  With a snapshot (and `useSnapshot`), the worker
-/// adopts the snapshot's variable layout into a context pre-sized from its
-/// node counts and imports the BDDs it needs — a linear DAG copy in DFS
-/// order, no rehashing mid-import.  Otherwise (factory jobs, quarantine
-/// retries) it rebuilds from scratch as before.  `forceLane` fixes the
-/// engine (retries, fixed modes, snapshot-resolved Auto); when absent the
-/// mode is Auto without a snapshot and the worker resolves it here.
+/// What an attempt checks in: a worker Context holding the imported (or
+/// rebuilt) modules.  For a composed obligation it also holds the composed
+/// product: the reflexive closures of the modules registered with a
+/// CompositionalVerifier, whose composed system and global Checker are
+/// built once and then serve every spec checked in this workspace.
+struct Workspace {
+  Workspace(std::size_t arenaCapacity, std::size_t cacheCapacity)
+      : ctx(arenaCapacity, cacheCapacity), verifier(ctx) {}
+
+  symbolic::Context ctx;
+  std::vector<smv::ElaboratedModule> modules;
+  comp::CompositionalVerifier verifier;
+};
+
+/// Products idle in every live ProductPool (idleComposedProducts()).
+std::atomic<std::size_t> gIdleProducts{0};
+
+/// The composed products of one runBatch call.  A worker checks a product
+/// out for a composed obligation's first attempt and returns it once the
+/// attempt decided, so the next composed obligation of the job on the
+/// same snapshot and engine skips import, composition and Checker
+/// construction.  Products are keyed by the snapshot, the lane and the
+/// cluster threshold (everything the product's Checker depends on); each
+/// is used by one worker at a time, so the pool needs no worker identity.
+/// A snapshot's idle products are dropped as soon as its last composed
+/// obligation of the batch has finished, so memory follows the jobs still
+/// running, not every job the batch has seen.  The pool also publishes
+/// each snapshot's composed engine choice (EngineMode::Auto), probed once
+/// per snapshot however many workers start cold at the same time.
+class ProductPool {
+ public:
+  struct Key {
+    const ElaborationSnapshot* snapshot;
+    Lane lane;
+    std::uint64_t clusterThreshold;
+    bool operator<(const Key& o) const {
+      return std::tie(snapshot, lane, clusterThreshold) <
+             std::tie(o.snapshot, o.lane, o.clusterThreshold);
+    }
+  };
+
+  ~ProductPool() {
+    for (const auto& [key, products] : idle_) {
+      gIdleProducts.fetch_sub(products.size(), std::memory_order_relaxed);
+    }
+  }
+
+  /// An idle product for `key`, or null when every one is checked out.
+  std::unique_ptr<Workspace> checkout(const Key& key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = idle_.find(key);
+    if (it == idle_.end() || it->second.empty()) return nullptr;
+    std::unique_ptr<Workspace> ws = std::move(it->second.back());
+    it->second.pop_back();
+    gIdleProducts.fetch_sub(1, std::memory_order_relaxed);
+    return ws;
+  }
+
+  /// Return a product after a decided attempt.  The sweep runs outside the
+  /// lock: the attempt's intermediates die here, so the next obligation's
+  /// peak_live_nodes starts from the product's resident nodes.
+  void checkin(const Key& key, std::unique_ptr<Workspace> ws) {
+    ws->ctx.mgr().collectGarbage();
+    std::lock_guard<std::mutex> lock(mutex_);
+    idle_[key].push_back(std::move(ws));
+    gIdleProducts.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// `count` more composed obligations will run on `snapshot`.
+  void expect(const ElaborationSnapshot* snapshot, std::size_t count) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_[snapshot] += count;
+  }
+
+  /// One composed obligation on `snapshot` has finished; the last one
+  /// drops the snapshot's idle products (destroyed outside the lock).
+  void finished(const ElaborationSnapshot* snapshot) {
+    std::vector<std::unique_ptr<Workspace>> dropped;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto pending = pending_.find(snapshot);
+      CMC_ASSERT(pending != pending_.end() && pending->second > 0);
+      if (--pending->second > 0) return;
+      pending_.erase(pending);
+      for (auto it = idle_.begin(); it != idle_.end();) {
+        if (it->first.snapshot != snapshot) {
+          ++it;
+          continue;
+        }
+        for (auto& ws : it->second) dropped.push_back(std::move(ws));
+        it = idle_.erase(it);
+      }
+      gIdleProducts.fetch_sub(dropped.size(), std::memory_order_relaxed);
+    }
+  }
+
+  std::optional<symbolic::EngineChoice> composedChoice(
+      const ElaborationSnapshot* snapshot) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = choices_.find(snapshot);
+    if (it == choices_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// The published composed choice for `snapshot`, or the result of
+  /// `probe`, published.  Probes of one snapshot are serialized, so
+  /// workers that start cold together wait for the first one's choice
+  /// instead of each probing; a probe that throws publishes nothing.
+  symbolic::EngineChoice resolveComposedChoice(
+      const ElaborationSnapshot* snapshot,
+      const std::function<symbolic::EngineChoice()>& probe) {
+    std::mutex* probeLock = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (auto it = choices_.find(snapshot); it != choices_.end()) {
+        return it->second;
+      }
+      probeLock = &probeLocks_[snapshot];
+    }
+    std::lock_guard<std::mutex> probing(*probeLock);
+    if (const auto c = composedChoice(snapshot)) return *c;
+    const symbolic::EngineChoice c = probe();
+    std::lock_guard<std::mutex> lock(mutex_);
+    choices_.emplace(snapshot, c);
+    return c;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<Key, std::vector<std::unique_ptr<Workspace>>> idle_;
+  std::map<const ElaborationSnapshot*, std::size_t> pending_;
+  std::map<const ElaborationSnapshot*, symbolic::EngineChoice> choices_;
+  std::map<const ElaborationSnapshot*, std::mutex> probeLocks_;
+};
+
+/// Register the reflexive closures of the workspace's modules as the
+/// components of its verifier.
+void registerComponents(Workspace& ws) {
+  for (const smv::ElaboratedModule& mod : ws.modules) {
+    symbolic::SymbolicSystem sys = mod.sys;
+    symbolic::addReflexive(sys);
+    ws.verifier.addComponent(std::move(sys));
+  }
+}
+
+/// Load an attempt's workspace up to the point where its deadline clock
+/// starts.  With a snapshot the worker adopts the snapshot's variable
+/// layout into a context pre-sized from its node counts and imports the
+/// BDDs it needs — a linear DAG copy in DFS order, no rehashing
+/// mid-import; otherwise (factory jobs, quarantine retries) it rebuilds
+/// from scratch.  When `lane` is still open (Auto) the attempt resolves
+/// it: a direct obligation probes its module, a composed one takes the
+/// choice published for its snapshot or probes the reflexive-closed
+/// product and publishes it.  The optional sift comes last, on the
+/// modules alone, as each attempt sifted its own import before products
+/// were shared; a composed workspace registers its components after it.
+void loadWorkspace(Workspace& ws, const ObligationDesc& d,
+                   const ElaborationSnapshot* snap, ProductPool& products,
+                   std::optional<Lane>& lane, AttemptOutput& out) {
+  if (snap != nullptr) {
+    CMC_FAILPOINT("scheduler.import");
+    WallTimer importTimer;
+    ws.ctx.adoptVariablesFrom(*snap->ctx);
+    bdd::Importer imp(ws.ctx.mgr(), snap->ctx->mgr());
+    if (!d.composed) {
+      // Auto was resolved from the snapshot's module probe, so the import
+      // copies exactly what the chosen engine needs.
+      CMC_ASSERT(lane.has_value());
+      ws.modules.push_back(importModule(
+          ws.ctx, imp, snap->modules.at(d.moduleIndex),
+          /*wantMonolithic=*/*lane == Lane::Monolithic));
+    } else {
+      ws.modules.reserve(snap->modules.size());
+      for (const smv::ElaboratedModule& mod : snap->modules) {
+        // Composition operates on the partitions; component monolithics
+        // are never needed.
+        ws.modules.push_back(importModule(ws.ctx, imp, mod,
+                                          /*wantMonolithic=*/false));
+      }
+    }
+    out.record.importMs = importTimer.seconds() * 1000.0;
+  } else {
+    WallTimer elaborateTimer;
+    ws.modules = materialize(*d.job, ws.ctx);
+    out.record.elaborateMs = elaborateTimer.seconds() * 1000.0;
+  }
+
+  const bool sift = d.job->options.reorderBeforeCheck;
+  if (d.composed && !sift) registerComponents(ws);
+  if (!lane.has_value()) {
+    if (!d.composed) {
+      out.choice = symbolic::chooseEngine(ws.modules.at(d.moduleIndex).sys);
+    } else if (d.snapshot != nullptr) {
+      // Probe the reflexive-closed product the checks run on, in the
+      // elaboration's variable order.  A completing probe on the
+      // registered components caches its monolithic relation there for
+      // the monolithic lane.  Under a sift the probe's product is a
+      // temporary, collected before the sift so that the sift sees the
+      // modules alone, as on a freshly imported manager.
+      out.choice = products.resolveComposedChoice(d.snapshot.get(), [&] {
+        if (!sift) return symbolic::chooseEngine(ws.verifier.composed());
+        symbolic::EngineChoice c;
+        {
+          std::vector<symbolic::SymbolicSystem> parts;
+          for (const smv::ElaboratedModule& mod : ws.modules) {
+            parts.push_back(mod.sys);
+            symbolic::addReflexive(parts.back());
+          }
+          c = symbolic::chooseEngine(symbolic::composeAll(parts));
+        }
+        ws.ctx.mgr().collectGarbage();
+        return c;
+      });
+    } else {
+      // A factory job has no snapshot to publish a choice for, and the
+      // product is exactly what we refuse to build speculatively, so
+      // default to the engine that never materializes it.
+      out.choice.usePartitioned = true;
+      out.choice.reason =
+          "composed obligation without snapshot defaults to partitioned";
+    }
+    lane = out.choice.usePartitioned ? Lane::Partitioned : Lane::Monolithic;
+    out.autoResolved = true;
+  }
+
+  if (sift) {
+    ws.ctx.mgr().reorderSift();
+    if (d.composed) registerComponents(ws);
+  }
+}
+
+/// One engine attempt.  `forceLane` fixes the engine (retries, fixed
+/// modes, a resolved Auto); when absent the mode is Auto and the attempt
+/// resolves it while loading its workspace, a composed one from the
+/// choice its snapshot's first product build published.  A composed
+/// first attempt on the snapshot path (`shareProduct`) takes an idle
+/// product from `products` when there is one, and returns its product
+/// there when it decides; an undecided attempt drops its product, so a
+/// budget, cancel or error never leaves a half-run manager behind for the
+/// next obligation, and a retry always builds a fresh context.
 AttemptOutput runAttempt(const ObligationDesc& d,
                          std::optional<Lane> forceLane, bool useSnapshot,
+                         bool shareProduct, ProductPool& products,
                          const CancelFlags& cancel) {
   AttemptOutput out;
   const JobOptions& jopts = d.job->options;
   const ElaborationSnapshot* snap =
       useSnapshot ? d.snapshot.get() : nullptr;
+  const bool share = shareProduct && d.composed && snap != nullptr;
 
-  Lane lane = forceLane.value_or(Lane::Partitioned);
-  const bool engineKnown = forceLane.has_value();
-  out.record.engine = engineKnown ? laneName(lane) : "auto";
+  std::optional<Lane> lane = forceLane;
+  if (!lane.has_value() && d.composed && d.snapshot != nullptr) {
+    if (const auto c = products.composedChoice(d.snapshot.get())) {
+      out.choice = *c;
+      out.autoResolved = true;
+      lane = c->usePartitioned ? Lane::Partitioned : Lane::Monolithic;
+    }
+  }
+  out.record.engine = lane.has_value() ? laneName(*lane) : "auto";
 
   WallTimer timer;
   try {
-    symbolic::Context ctx(
-        snap != nullptr ? workerArenaCapacity(snap->liveNodes)
-                        : std::size_t{1} << 14,
-        snap != nullptr ? workerCacheCapacity(snap->liveNodes)
-                        : std::size_t{1} << 14);
-    bdd::Manager& mgr = ctx.mgr();
-
-    std::vector<smv::ElaboratedModule> modules;
-    std::size_t localIndex = d.moduleIndex;
-    if (snap != nullptr) {
-      // Snapshot path: Auto was resolved by the caller (runAttempts reads
-      // the snapshot's probed choice), so `partitioned` is known and the
-      // import copies exactly what the chosen engine needs.
-      CMC_ASSERT(engineKnown);
-      WallTimer importTimer;
-      ctx.adoptVariablesFrom(*snap->ctx);
-      bdd::Importer imp(mgr, snap->ctx->mgr());
-      if (!d.composed) {
-        modules.push_back(importModule(
-            ctx, imp, snap->modules.at(d.moduleIndex),
-            /*wantMonolithic=*/lane == Lane::Monolithic));
-        localIndex = 0;
-      } else {
-        modules.reserve(snap->modules.size());
-        for (const smv::ElaboratedModule& mod : snap->modules) {
-          // Composition operates on the partitions; component monolithics
-          // are never needed.
-          modules.push_back(importModule(ctx, imp, mod,
-                                         /*wantMonolithic=*/false));
-        }
-      }
-      out.record.importMs = importTimer.seconds() * 1000.0;
-    } else {
-      WallTimer elaborateTimer;
-      modules = materialize(*d.job, ctx);
-      out.record.elaborateMs = elaborateTimer.seconds() * 1000.0;
+    std::unique_ptr<Workspace> ws;
+    if (share && lane.has_value()) {
+      ws = products.checkout({snap, *lane, jopts.clusterThreshold});
     }
-
-    if (!engineKnown) {
-      // Auto without a snapshot: probe on the freshly built system.  For
-      // a composed obligation the product is exactly what we refuse to
-      // build speculatively, so default to the engine that never
-      // materializes it.
-      if (!d.composed) {
-        out.choice = symbolic::chooseEngine(modules.at(localIndex).sys);
-      } else {
-        out.choice.usePartitioned = true;
-        out.choice.reason =
-            "composed obligation without snapshot defaults to partitioned";
-      }
-      lane = out.choice.usePartitioned ? Lane::Partitioned
-                                       : Lane::Monolithic;
-      out.autoResolved = true;
+    out.record.productReused = ws != nullptr;
+    WallTimer productTimer;
+    if (!out.record.productReused) {
+      ws = std::make_unique<Workspace>(
+          snap != nullptr ? workerArenaCapacity(snap->liveNodes)
+                          : std::size_t{1} << 14,
+          snap != nullptr ? workerCacheCapacity(snap->liveNodes)
+                          : std::size_t{1} << 14);
+      loadWorkspace(*ws, d, snap, products, lane, out);
     }
+    bdd::Manager& mgr = ws->ctx.mgr();
+    // A snapshot-backed direct attempt imports only its target module.
+    const std::size_t localIndex =
+        !d.composed && snap != nullptr ? 0 : d.moduleIndex;
+    const ctl::Spec& spec = ws->modules.at(localIndex).specs.at(d.specIndex);
+    out.lane = *lane;
+    out.record.engine = laneName(*lane);
 
-    const ctl::Spec& spec = modules.at(localIndex).specs.at(d.specIndex);
-    out.lane = lane;
-    out.record.engine = laneName(lane);
-
-    if (jopts.reorderBeforeCheck) mgr.reorderSift();
-
+    // The deadline clock starts where it did when each obligation built
+    // its own product: after the import, probe and sift, before the
+    // composition (unless the probe built it) and its Checker.
     BudgetToken token(mgr, jopts.limits);
     symbolic::CheckerOptions copts;
-    copts.usePartitionedTrans = lane != Lane::Monolithic;
+    copts.usePartitionedTrans = *lane != Lane::Monolithic;
     copts.clusterThreshold = jopts.clusterThreshold;
     copts.cancelCheck = [&token, &cancel] {
       if (cancel.requested()) {
@@ -283,6 +498,15 @@ AttemptOutput runAttempt(const ObligationDesc& d,
       }
       token.check();
     };
+    if (d.composed) {
+      if (out.record.productReused) {
+        ws->verifier.setCancelCheck(copts.cancelCheck);
+      } else {
+        ws->verifier.setCheckerOptions(copts);
+        ws->verifier.globalChecker();
+        out.record.productMs = productTimer.seconds() * 1000.0;
+      }
+    }
 
     const std::uint64_t lookups0 = mgr.stats().cacheLookups;
     const std::uint64_t hits0 = mgr.stats().cacheHits;
@@ -292,20 +516,15 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     try {
       if (!d.composed) {
         out.rule = "direct";
-        symbolic::Checker checker(modules.at(localIndex).sys, copts);
+        symbolic::Checker checker(ws->modules.at(localIndex).sys, copts);
         const bool holds = checker.holds(spec);
         out.record.verdict = holds ? Verdict::Holds : Verdict::Fails;
         out.decided = true;
         if (!holds) out.counterexample = extractCounterexample(checker, spec);
       } else {
+        comp::CompositionalVerifier& verifier = ws->verifier;
         const comp::PropertyClass cls = comp::classify(spec);
         out.rule = ruleName(cls);
-        comp::CompositionalVerifier verifier(ctx, copts);
-        for (const smv::ElaboratedModule& mod : modules) {
-          symbolic::SymbolicSystem sys = mod.sys;
-          symbolic::addReflexive(sys);
-          verifier.addComponent(std::move(sys));
-        }
         comp::ProofTree proof;
         bool ok = verifier.verify(spec, proof, /*allowGlobalFallback=*/true);
         if (!ok && cls != comp::PropertyClass::Unknown) {
@@ -328,6 +547,8 @@ AttemptOutput runAttempt(const ObligationDesc& d,
           out.counterexample =
               extractCounterexample(verifier.globalChecker(), spec);
         }
+        // The hook refers to this attempt's token and flags.
+        verifier.setCancelCheck(nullptr);
       }
     } catch (const symbolic::CancelledError& e) {
       out.record.verdict = cancelVerdict(e.reason());
@@ -341,6 +562,9 @@ AttemptOutput runAttempt(const ObligationDesc& d,
             ? 0.0
             : static_cast<double>(mgr.stats().cacheHits - hits0) /
                   static_cast<double>(lookups);
+    if (share && out.decided) {
+      products.checkin({snap, *lane, jopts.clusterThreshold}, std::move(ws));
+    }
   } catch (const std::exception& e) {
     out.record.verdict = Verdict::Error;
     out.error = e.what();
@@ -438,6 +662,8 @@ void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
                    .putDouble("elaborate_ms", a.record.elaborateMs)
                    .putDouble("import_ms", a.record.importMs)
                    .putDouble("fixpoint_ms", a.record.fixpointMs)
+                   .putDouble("product_ms", a.record.productMs)
+                   .putBool("product_reused", a.record.productReused)
                    .putUint("peak_live_nodes", a.record.peakLiveNodes)
                    .putDouble("cache_hit_rate", a.record.cacheHitRate));
   }
@@ -465,21 +691,22 @@ void cacheDecided(const ObligationDesc& d, const AttemptOutput& a,
 /// on an unexpected exception (one retry rebuilt from scratch, then Error).
 void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
                  RunTrace& trace, ObligationCache* cache,
-                 const CancelFlags& cancel,
+                 ProductPool& products, const CancelFlags& cancel,
                  const ObligationInstruments* ins) {
   const JobOptions& jopts = d.job->options;
   // First-attempt lane: fixed modes are forced outright; Auto resolves
-  // from the snapshot's probed choice when there is one, otherwise the
-  // first attempt resolves it worker-side.
+  // from the snapshot's module probe for a direct obligation, otherwise
+  // the attempt resolves it worker-side (a composed obligation from the
+  // choice its snapshot's first product build published), and a retry
+  // after an attempt that failed before resolving it does the same.
   std::optional<Lane> lane;
   if (jopts.engine == symbolic::EngineMode::Partitioned) {
     lane = Lane::Partitioned;
   } else if (jopts.engine == symbolic::EngineMode::Monolithic) {
     lane = Lane::Monolithic;
-  } else if (d.snapshot != nullptr) {
+  } else if (d.snapshot != nullptr && !d.composed) {
     const symbolic::EngineChoice& c =
-        d.composed ? d.snapshot->composedChoice
-                   : d.snapshot->moduleChoice.at(d.moduleIndex);
+        d.snapshot->moduleChoice.at(d.moduleIndex);
     lane = c.usePartitioned ? Lane::Partitioned : Lane::Monolithic;
     recordEngineChoice(d, c, out, trace);
   }
@@ -491,10 +718,13 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
     ++attemptNo;
     // The quarantine retry deliberately bypasses the snapshot: a full
     // rebuild from the program text rules out a poisoned import just as
-    // the fresh Context rules out a poisoned manager.
-    const AttemptOutput a = runAttempt(d, lane, !quarantined, cancel);
+    // the fresh Context rules out a poisoned manager.  Only a first
+    // attempt shares a composed product; retries build their own.
+    const AttemptOutput a = runAttempt(d, lane, !quarantined,
+                                       /*shareProduct=*/attemptNo == 1,
+                                       products, cancel);
     if (a.autoResolved) {
-      lane = a.lane;
+      lane = a.choice.usePartitioned ? Lane::Partitioned : Lane::Monolithic;
       recordEngineChoice(d, a.choice, out, trace);
     }
     noteAttempt(d, a, attemptNo, out, trace, ins);
@@ -559,6 +789,7 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
 
 ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
                                 ThreadPool& pool, ObligationCache* cache,
+                                ProductPool& products,
                                 const CancelFlags& cancel,
                                 const ObligationInstruments* ins) {
   ObligationOutcome out;
@@ -594,7 +825,7 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
       // obligation as Cancelled without spending an attempt on it.
       out.verdict = Verdict::Cancelled;
     } else if (!serveFromCache(d, cache, out, trace)) {
-      runAttempts(d, out, trace, cache, cancel, ins);
+      runAttempts(d, out, trace, cache, products, cancel, ins);
     } else if (out.verdict == Verdict::Fails &&
                out.counterexample.empty()) {
       // A replayed Fails stored no counterexample (trace search is
@@ -618,7 +849,7 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
         fresh.specText = d.specText;
         fresh.fingerprint = d.fingerprint;
         out = std::move(fresh);
-        runAttempts(d, out, trace, cache, cancel, ins);
+        runAttempts(d, out, trace, cache, products, cancel, ins);
       } else if (trace.enabled()) {
         trace.emit(JsonObject()
                        .put("event", "trace_unavailable")
@@ -672,6 +903,10 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
 }
 
 }  // namespace
+
+std::size_t idleComposedProducts() noexcept {
+  return gIdleProducts.load(std::memory_order_relaxed);
+}
 
 JobReport VerificationService::run(const VerificationJob& job,
                                    RunTrace* trace,
@@ -766,6 +1001,10 @@ std::vector<JobReport> VerificationService::runBatch(
     std::future<void> done;
   };
   std::vector<JobState> states(jobs.size());
+  // Composed products shared by the batch's obligations.  Each snapshot's
+  // products are dropped when its last composed obligation finishes; every
+  // task that uses the pool has finished before runBatch returns.
+  ProductPool products;
 
   // Scout phase, now parallel: every job's elaboration snapshot is a pool
   // task (or a memo hit from a previous batch — the server's warm path).
@@ -815,11 +1054,14 @@ std::vector<JobReport> VerificationService::runBatch(
         }
       }
       state.descs = descs;
+      std::size_t composedShared = 0;
       for (ObligationDesc& d : state.descs) {
         d.job = &job;
         d.jobName = job.name;
         d.snapshot = shared;
+        if (d.composed && shared != nullptr) ++composedShared;
       }
+      if (composedShared > 0) products.expect(&snap, composedShared);
       if (tr.enabled()) {
         tr.emit(JsonObject()
                     .put("event", "snapshot")
@@ -852,15 +1094,17 @@ std::vector<JobReport> VerificationService::runBatch(
     for (const ObligationDesc& d : state.descs) {
       auto remaining = state.remaining;
       auto donePromise = state.donePromise;
-      state.futures.push_back(pool_.submit([d, &tr, flags, remaining,
-                                            donePromise, ins, this] {
+      state.futures.push_back(pool_.submit([d, &tr, &products, flags,
+                                            remaining, donePromise, ins,
+                                            this] {
         // Last line of defence: runObligation already guards its decision
         // path, but nothing that reaches the pool may ever rethrow through
         // future.get() — one poisoned obligation must not lose its
         // siblings' outcomes.
         ObligationOutcome out;
         try {
-          out = runObligation(d, tr, pool_, cache_.get(), flags, ins);
+          out = runObligation(d, tr, pool_, cache_.get(), products, flags,
+                              ins);
         } catch (const std::exception& e) {
           out.id = d.id;
           out.target = d.target;
@@ -869,6 +1113,9 @@ std::vector<JobReport> VerificationService::runBatch(
           out.fingerprint = d.fingerprint;
           out.verdict = Verdict::Error;
           out.error = e.what();
+        }
+        if (d.composed && d.snapshot != nullptr) {
+          products.finished(d.snapshot.get());
         }
         if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
           donePromise->set_value();
@@ -945,6 +1192,13 @@ std::vector<JobReport> VerificationService::runBatch(
                   .putUint("entries", cache_->size()));
     }
   }
+#if defined(__GLIBC__)
+  // Every task of the batch has finished, so its products, worker contexts
+  // and elaboration temporaries are free; glibc keeps freed memory in the
+  // workers' arenas, and a long-lived service would hold the resident set
+  // of its largest batch.  Hand it back to the system.
+  malloc_trim(0);
+#endif
   return reports;
 }
 

@@ -11,15 +11,25 @@
 //    enumerates the obligations — one per (module, spec); with
 //    JobOptions::compose also one per spec on the composition, discharged
 //    through the compositional rules with a ProofTree certificate — and,
-//    under EngineMode::Auto, resolves the engine choice per target.
-//  - Obligations are independent: each attempt runs in a fresh
+//    under EngineMode::Auto, resolves the engine choice per module.
+//  - Component obligations are independent: each attempt runs in a fresh
 //    symbolic::Context on the worker thread (BDD managers are
 //    single-threaded).  Text jobs *import* their BDDs from the snapshot
 //    through bdd::Importer — a linear copy of the reachable DAG into a
 //    pre-sized arena — instead of re-parsing and re-elaborating; factory
-//    jobs and quarantine retries rebuild from scratch.  An engine retry is
-//    still meaningful after MemoryOut — the retry starts with an empty
-//    manager either way.
+//    jobs and quarantine retries rebuild from scratch.
+//  - Composed obligations share a composed product per (snapshot, engine,
+//    cluster threshold): a worker context holding the imported modules,
+//    their reflexive closures, the composition and its global Checker.
+//    The first composed obligation of a batch that misses the cache
+//    builds one (and, under Auto, probes the composed engine choice once
+//    per snapshot; later obligations and retries reuse it); a decided
+//    first attempt returns it to the batch's pool for the next composed
+//    obligation, collected first.
+//    A snapshot's idle products are dropped when its last composed
+//    obligation of the batch finishes.  An undecided attempt drops its
+//    product, and retries always build a fresh context, so an engine
+//    retry after MemoryOut still starts with an empty manager.
 //  - Budgets are enforced cooperatively: BudgetToken is installed as the
 //    checker's CheckerOptions::cancelCheck hook, so a blown-up fixpoint
 //    aborts with Timeout/MemoryOut instead of hanging the worker.
@@ -97,6 +107,11 @@ struct ServiceOptions {
   /// service.
   MetricsRegistry* metrics = nullptr;
 };
+
+/// Composed products idle in the pools of the runBatch calls in progress,
+/// process-wide: 0 between batches, and within a batch only products of
+/// snapshots that still have composed obligations to run (diagnostics).
+std::size_t idleComposedProducts() noexcept;
 
 class VerificationService {
  public:

@@ -4,7 +4,6 @@
 
 #include "service/obligation_cache.hpp"
 #include "smv/fingerprint.hpp"
-#include "symbolic/composition.hpp"
 #include "util/timer.hpp"
 
 namespace cmc::service {
@@ -78,26 +77,13 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
       }
     }
 
+    // Module probes only: the composed choice is probed on the first
+    // product a worker builds for a composed obligation that misses the
+    // obligation cache (scheduler.cpp), so a warm job never pays for it.
     snap->moduleChoice.resize(snap->modules.size());
     if (job.options.engine == symbolic::EngineMode::Auto) {
       for (std::size_t i = 0; i < snap->modules.size(); ++i) {
         snap->moduleChoice[i] = symbolic::chooseEngine(snap->modules[i].sys);
-      }
-      if (job.options.compose && snap->modules.size() > 1) {
-        // Probe the composition the way composed obligations build it:
-        // reflexive-closed components folded with ∘.  The temporary's
-        // nodes die in the collection below; only the decision survives.
-        std::vector<symbolic::SymbolicSystem> parts;
-        parts.reserve(snap->modules.size());
-        for (const smv::ElaboratedModule& mod : snap->modules) {
-          symbolic::SymbolicSystem sys = mod.sys;
-          symbolic::addReflexive(sys);
-          parts.push_back(std::move(sys));
-        }
-        const symbolic::SymbolicSystem composed =
-            symbolic::composeAll(parts);
-        snap->composedChoice = symbolic::chooseEngine(composed);
-        snap->hasComposedChoice = true;
       }
     }
 

@@ -8,8 +8,10 @@
 //
 //  - buildSnapshot elaborates a job ONCE into a dedicated Context and
 //    freezes the result (modules, canonical serializations for the cache,
-//    and — under EngineMode::Auto — the per-module and composed engine
-//    choices, probed here where mutation is still allowed).
+//    and — under EngineMode::Auto — the per-module engine choices, probed
+//    here where mutation is still allowed).  The composed choice is probed
+//    by the scheduler on the first composed product it builds, so a job
+//    whose composed obligations all hit the cache never probes it.
 //  - Workers adopt the snapshot's variable layout into their own pre-sized
 //    Context and copy the BDDs they need through bdd::Importer — a linear
 //    walk of the reachable DAG instead of a parse + elaboration.
@@ -51,7 +53,9 @@ struct ElaborationSnapshot {
   /// Per-module engine decision (EngineMode::Auto only; defaulted
   /// otherwise).
   std::vector<symbolic::EngineChoice> moduleChoice;
-  /// Engine decision for the composed system (compose jobs under Auto).
+  /// Engine decision for the composed system, for callers that probe it
+  /// eagerly (perfbench's traced replay).  buildSnapshot leaves it unset:
+  /// the scheduler probes on its first composed product instead.
   symbolic::EngineChoice composedChoice;
   bool hasComposedChoice = false;
   /// Live nodes after the final collection — what workers size their
@@ -94,8 +98,8 @@ std::vector<ObligationRef> enumerateObligations(const ElaborationSnapshot& snap,
 
 /// Elaborate `job` once into a fresh context (never throws — errors land in
 /// SnapshotResult::error).  `wantCanon` additionally computes the canonical
-/// module serializations (best-effort).  Engine probes run only when the
-/// job's engine mode is Auto.  Thread-safe for concurrent jobs: each call
+/// module serializations (best-effort).  Module engine probes run only when
+/// the job's engine mode is Auto.  Thread-safe for concurrent jobs: each call
 /// owns its context, so runBatch fans snapshot builds onto the pool.
 SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon);
 

@@ -70,9 +70,9 @@ struct TypeDecl {
   long lo = 0, hi = 0;              ///< Range bounds (inclusive)
 
   /// Most values a range type may span.  expandedValues() materializes
-  /// one string per value and elaboration grows about quadratically in the
-  /// count (4,096 values: under 0.1 s; 65,536: over 20 s), so the parser
-  /// refuses wider ranges instead of letting `0..10000000` run for minutes.
+  /// one string per value and elaboration builds BDDs per value, so the
+  /// parser refuses wider ranges instead of letting `0..10000000` run for
+  /// minutes and gigabytes.
   static constexpr unsigned long kMaxRangeValues = 1ul << 12;
 
   /// The value list after range expansion; booleans give {"0","1"}.

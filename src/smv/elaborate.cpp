@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "smv/parser.hpp"
 #include "util/failpoint.hpp"
@@ -298,18 +300,33 @@ class Elaborator {
           return assignRelation(target, targetNext, *def);
         }
         if (mod_.findVar(e->text) != nullptr) {
-          // Copy: target' = source (over the source's domain).
+          // Copy: target' = source (over the source's domain).  Values
+          // are matched through one index map, so the copy is linear in
+          // the value count (a lookup per value by name would scan the
+          // target's value list each time).
           const VarId source = ctx_.varId(e->text);
           const symbolic::Variable& sv = ctx_.variable(source);
+          std::unordered_map<std::string_view, std::size_t> targetIndex;
+          targetIndex.reserve(tv.values.size());
+          for (std::size_t i = 0; i < tv.values.size(); ++i) {
+            targetIndex.emplace(tv.values[i], i);
+          }
           bdd::Bdd acc = mgr.bddFalse();
-          for (const std::string& val : sv.values) {
-            if (!tv.hasValue(val)) {
+          for (std::size_t i = 0; i < sv.values.size(); ++i) {
+            const std::string& val = sv.values[i];
+            auto it = targetIndex.find(val);
+            std::size_t targetIdx = 0;
+            if (it != targetIndex.end()) {
+              targetIdx = it->second;
+            } else if (tv.hasValue(val)) {
+              targetIdx = tv.valueIndex(val);  // a boolean alias (TRUE, ...)
+            } else {
               throw ModelError("assigning '" + sv.name + "' to '" + tv.name +
                                "': value '" + val +
                                "' is outside the target's domain");
             }
-            acc |= ctx_.varEq(source, val, false) &
-                   ctx_.varEq(target, val, targetNext);
+            acc |= ctx_.varEqIndex(source, i, false) &
+                   ctx_.varEqIndex(target, targetIdx, targetNext);
           }
           return acc;
         }

@@ -179,14 +179,28 @@ bdd::Bdd Checker::fairEG(const bdd::Bdd& region,
   }
 }
 
+bdd::Bdd Checker::fairRegion(const std::vector<bdd::Bdd>& fairSets) {
+  const bdd::Bdd all = sys_.ctx->mgr().bddTrue();
+  if (fairSets.empty()) return all;
+  // Every domain state stutters forever on the stutter track, and T only
+  // relates domain states, so EG true under {TRUE} is exactly the domain:
+  // the fixpoint would return this very node.
+  if (hasLocalStutter_ &&
+      std::all_of(fairSets.begin(), fairSets.end(),
+                  [](const bdd::Bdd& fc) { return fc.isTrue(); })) {
+    ++skippedFairFixpoints_;
+    return domain_;
+  }
+  return fairEG(all, fairSets);
+}
+
 bdd::Bdd Checker::fairStates(const std::vector<ctl::FormulaPtr>& fairness) {
   std::vector<bdd::Bdd> fairSets;
   const bdd::Bdd all = sys_.ctx->mgr().bddTrue();
   for (const FormulaPtr& f : fairness) {
     fairSets.push_back(satRec(f, {}, all));
   }
-  if (fairSets.empty()) return all;
-  return fairEG(all, fairSets);
+  return fairRegion(fairSets);
 }
 
 bdd::Bdd Checker::sat(const ctl::FormulaPtr& f,
@@ -196,8 +210,7 @@ bdd::Bdd Checker::sat(const ctl::FormulaPtr& f,
   for (const FormulaPtr& fc : fairness) {
     fairSets.push_back(satRec(fc, {}, all));
   }
-  const bdd::Bdd fair = fairSets.empty() ? all : fairEG(all, fairSets);
-  return satRec(f, fairSets, fair);
+  return satRec(f, fairSets, fairRegion(fairSets));
 }
 
 bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,

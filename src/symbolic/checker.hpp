@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ctl/formula.hpp"
@@ -97,6 +98,13 @@ class Checker {
   /// States from which a fair path exists (EG_fair true).
   bdd::Bdd fairStates(const std::vector<ctl::FormulaPtr>& fairness);
 
+  /// Replace the cancellation hook (CheckerOptions::cancelCheck).  A
+  /// checker shared by several attempts takes each attempt's budget this
+  /// way; the clustered schedules and the violation memo stay valid.
+  void setCancelCheck(std::function<void()> hook) {
+    opts_.cancelCheck = std::move(hook);
+  }
+
   /// The paper's M ⊨_r f.
   bool holds(const ctl::Restriction& r, const ctl::FormulaPtr& f);
   bool holds(const ctl::Spec& spec);
@@ -141,6 +149,11 @@ class Checker {
   bool usesPartition() const noexcept { return partitioned_; }
   /// Track preimages preE skipped by the frame test so far (see preE).
   std::uint64_t skippedTracks() const noexcept { return skippedTracks_; }
+  /// Fair-set fixpoints skipped so far because every fairness constraint
+  /// is TRUE on a reflexive system (see fairRegion).
+  std::uint64_t skippedFairFixpoints() const noexcept {
+    return skippedFairFixpoints_;
+  }
 
  private:
   /// Invoke opts_.cancelCheck if set (see CheckerOptions::cancelCheck).
@@ -150,6 +163,11 @@ class Checker {
 
   bdd::Bdd untilE(const bdd::Bdd& f, const bdd::Bdd& g);
   bdd::Bdd fairEG(const bdd::Bdd& region, const std::vector<bdd::Bdd>& fair);
+  /// EG_fair true for the evaluated constraints: every state when there
+  /// are none, the state domain when every constraint is TRUE and the
+  /// system has a local stutter track (docs/THEORY.md, "Trivial fairness
+  /// on a reflexive system"), else the Emerson-Lei fixpoint.
+  bdd::Bdd fairRegion(const std::vector<bdd::Bdd>& fairSets);
   bdd::Bdd satRec(const ctl::FormulaPtr& f,
                   const std::vector<bdd::Bdd>& fairSets,
                   const bdd::Bdd& fair);
@@ -186,6 +204,7 @@ class Checker {
   /// subsume the tracks it skips.
   bool hasLocalStutter_ = false;
   std::uint64_t skippedTracks_ = 0;
+  std::uint64_t skippedFairFixpoints_ = 0;
 
   /// The last violations() result, keyed by the formulas it was asked for,
   /// so violationWitness after a failing holds() runs no second fixpoint.

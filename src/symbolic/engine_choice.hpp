@@ -22,7 +22,8 @@
 // Thread safety: chooseEngine runs dagSize() (mutable scratch marks) and
 // caches into SymbolicSystem::monolithic_, so it must only be called from
 // the thread that owns the system's manager — in the service layer that is
-// the snapshot build (scout) phase, never a worker reading the shared
+// the snapshot build (scout) phase for modules and the worker building a
+// composed product for the composition, never a worker reading the shared
 // snapshot.
 #pragma once
 

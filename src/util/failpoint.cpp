@@ -30,6 +30,8 @@ constexpr CatalogEntry kCatalog[] = {
     {"trace.write", "run-trace JSONL sink write (per event)"},
     {"scheduler.dispatch", "worker pickup of an obligation, before attempts"},
     {"scheduler.retry", "engine-degradation retry decision"},
+    {"scheduler.import",
+     "worker import of snapshot modules (quarantine retries rebuild instead)"},
     {"net.accept", "server accept of a new connection (before the handler)"},
     {"net.read", "server read of a request line (per read attempt)"},
 };

@@ -33,6 +33,7 @@ TEST_F(FailpointTest, CatalogSitesAreEnumerableBeforeFirstHit) {
   EXPECT_TRUE(has("trace.write"));
   EXPECT_TRUE(has("scheduler.dispatch"));
   EXPECT_TRUE(has("scheduler.retry"));
+  EXPECT_TRUE(has("scheduler.import"));
 }
 
 TEST_F(FailpointTest, DisarmedSiteIsANoOp) {

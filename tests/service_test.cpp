@@ -4,17 +4,24 @@
 // replayed-Fails trace semantics, and the structured run trace / report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <tuple>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "afs/smv_sources.hpp"
+#include "comp/verifier.hpp"
 #include "service/budget.hpp"
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
+#include "util/failpoint.hpp"
 
 namespace cmc::service {
 namespace {
@@ -543,6 +550,391 @@ TEST(ServiceBudget, GenuineExhaustionStillThrowsAfterGc) {
   }
   // The throw came from the post-collection recheck, not the raw count.
   EXPECT_GT(mgr.stats().gcRuns, gcBefore);
+}
+
+// ---------------------------------------------------------------------------
+// Shared composed products
+// ---------------------------------------------------------------------------
+
+/// Every shipped model except the genmodel afs2-8 and afs2-16, whose
+/// monolithic composed product grows without bound.
+std::vector<std::filesystem::path> sharedProductModels() {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> paths;
+  for (const fs::path& dir :
+       {fs::path(CMC_MODELS_DIR), fs::path(CMC_MODELS_DIR) / "gen"}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const fs::path& p = entry.path();
+      if (p.extension() != ".smv") continue;
+      if (p.stem() == "afs2_8" || p.stem() == "afs2_16") continue;
+      paths.push_back(p);
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+std::string readText(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// What a composed obligation decides to, keyed by obligation id.
+using Decisions =
+    std::map<std::string, std::tuple<Verdict, std::string, std::string>>;
+
+/// The composed obligations decided the way every attempt decided one
+/// before products were shared: a fresh Context per obligation, with its
+/// own elaboration, reflexive closure, verifier and global Checker.  Under
+/// reorderBeforeCheck the context imports the snapshot's modules and sifts
+/// them, as each attempt did, since the sifted order depends on what the
+/// manager holds.
+Decisions perObligationProducts(const VerificationJob& job,
+                                bool partitioned) {
+  const SnapshotResult snap = buildSnapshot(job, /*wantCanon=*/false);
+  EXPECT_TRUE(snap.snapshot) << snap.error;
+  Decisions out;
+  if (!snap.snapshot) return out;
+  for (const ObligationRef& ref :
+       enumerateObligations(*snap.snapshot, job.options)) {
+    if (!ref.composed) continue;
+    symbolic::Context ctx(1 << 14);
+    std::vector<smv::ElaboratedModule> modules;
+    if (job.options.reorderBeforeCheck) {
+      ctx.adoptVariablesFrom(*snap.snapshot->ctx);
+      bdd::Importer imp(ctx.mgr(), snap.snapshot->ctx->mgr());
+      for (const smv::ElaboratedModule& mod : snap.snapshot->modules) {
+        modules.push_back(
+            importModule(ctx, imp, mod, /*wantMonolithic=*/false));
+      }
+      ctx.mgr().reorderSift();
+    } else {
+      modules = smv::elaborateProgram(ctx, job.smvText);
+    }
+    symbolic::CheckerOptions copts;
+    copts.usePartitionedTrans = partitioned;
+    comp::CompositionalVerifier verifier(ctx, copts);
+    for (const smv::ElaboratedModule& mod : modules) {
+      symbolic::SymbolicSystem sys = mod.sys;
+      symbolic::addReflexive(sys);
+      verifier.addComponent(std::move(sys));
+    }
+    const ctl::Spec& spec =
+        modules.at(ref.moduleIndex).specs.at(ref.specIndex);
+    const comp::PropertyClass cls = comp::classify(spec);
+    std::string rule = cls == comp::PropertyClass::Universal
+                           ? "universal (Rule 2)"
+                       : cls == comp::PropertyClass::Existential
+                           ? "existential (Rules 1/3)"
+                           : "global fallback";
+    comp::ProofTree proof;
+    bool ok = verifier.verify(spec, proof, /*allowGlobalFallback=*/true);
+    if (!ok && cls != comp::PropertyClass::Unknown) {
+      ok = verifier.globalChecker().holds(spec);
+      rule += " + global fallback";
+    }
+    std::string cex;
+    if (!ok) {
+      symbolic::Checker& checker = verifier.globalChecker();
+      if (const auto trace = checker.counterexampleTrace(spec.r, spec.f)) {
+        cex = *trace;
+      } else if (const auto w = checker.violationWitness(spec.r, spec.f)) {
+        cex = "violating state: " + *w + "\n";
+      }
+    }
+    out[ref.id] = {ok ? Verdict::Holds : Verdict::Fails, rule, cex};
+  }
+  return out;
+}
+
+TEST(ServiceSharedProduct, VerdictsMatchAFreshProductPerObligation) {
+  const std::vector<std::filesystem::path> models = sharedProductModels();
+  ASSERT_GE(models.size(), 10u);
+  std::size_t composedChecked = 0;
+  for (const std::filesystem::path& path : models) {
+    SCOPED_TRACE(path.filename().string());
+    for (const symbolic::EngineMode engine :
+         {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
+          symbolic::EngineMode::Monolithic}) {
+      SCOPED_TRACE(symbolic::toString(engine));
+      VerificationJob job;
+      job.name = path.stem().string();
+      job.smvText = readText(path);
+      job.options.compose = true;
+      job.options.engine = engine;
+      std::map<std::string, Decisions> reference;  // per engine lane
+
+      std::vector<JobReport> runs;
+      for (const unsigned threads : {1u, 4u}) {
+        ServiceOptions opts = withThreads(threads);
+        opts.cacheEnabled = false;
+        VerificationService svc(opts);
+        runs.push_back(svc.run(job));
+      }
+      // Direct and composed outcomes agree across worker counts.
+      ASSERT_EQ(runs[0].obligations.size(), runs[1].obligations.size());
+      for (std::size_t k = 0; k < runs[0].obligations.size(); ++k) {
+        const ObligationOutcome& a = runs[0].obligations[k];
+        const ObligationOutcome& b = runs[1].obligations[k];
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.verdict, b.verdict) << a.id;
+        EXPECT_EQ(a.rule, b.rule) << a.id;
+        EXPECT_EQ(a.counterexample, b.counterexample) << a.id;
+        EXPECT_EQ(a.attempts.back().engine, b.attempts.back().engine)
+            << a.id;
+      }
+
+      // Composed outcomes agree with a fresh product per obligation.
+      std::size_t built = 0, composed = 0;
+      for (const ObligationOutcome& o : runs[0].obligations) {
+        if (o.target != "composed") continue;
+        ++composed;
+        ASSERT_EQ(o.attempts.size(), 1u) << o.id;
+        const AttemptRecord& a = o.attempts.front();
+        if (!a.productReused) {
+          ++built;
+          EXPECT_GT(a.productMs, 0.0) << o.id;
+        } else {
+          EXPECT_EQ(a.productMs, 0.0) << o.id;
+          EXPECT_EQ(a.importMs, 0.0) << o.id;
+        }
+        Decisions& ref = reference[a.engine];
+        if (ref.empty()) {
+          ref = perObligationProducts(job, a.engine == "partitioned");
+        }
+        const auto it = ref.find(o.id);
+        ASSERT_NE(it, ref.end()) << o.id;
+        EXPECT_EQ(o.verdict, std::get<0>(it->second)) << o.id;
+        EXPECT_EQ(o.rule, std::get<1>(it->second)) << o.id;
+        EXPECT_EQ(o.counterexample, std::get<2>(it->second)) << o.id;
+        ++composedChecked;
+      }
+      // One worker builds one product and every later composed
+      // obligation of the job reuses it.
+      if (composed > 0) {
+        EXPECT_EQ(built, 1u);
+      }
+    }
+  }
+  EXPECT_GT(composedChecked, 100u);
+}
+
+TEST(ServiceSharedProduct, SiftedProductsMatchASiftPerObligation) {
+  // Under reorderBeforeCheck the product is sifted once, on the freshly
+  // imported modules, which is the manager each attempt used to sift: the
+  // order, and so every verdict, rule and counterexample, is the same.
+  std::size_t composedChecked = 0;
+  for (const char* name :
+       {"afs1_composed.smv", "afs2_composed.smv", "alternating_bit.smv",
+        "figure2_strong_fairness.smv", "token_ring_3.smv", "gen/afs2_3.smv",
+        "gen/ring_3.smv"}) {
+    SCOPED_TRACE(name);
+    VerificationJob job;
+    job.name = name;
+    job.smvText = readText(std::filesystem::path(CMC_MODELS_DIR) / name);
+    job.options.compose = true;
+    job.options.engine = symbolic::EngineMode::Auto;
+    // The engine probe reads the unsifted product, as without a sift.
+    std::map<std::string, std::string> unsiftedChoice;
+    {
+      ServiceOptions opts = withThreads(1);
+      opts.cacheEnabled = false;
+      VerificationService svc(opts);
+      for (const ObligationOutcome& o : svc.run(job).obligations) {
+        unsiftedChoice[o.id] = o.engineChoiceJson;
+      }
+    }
+    job.options.reorderBeforeCheck = true;
+    std::map<std::string, Decisions> reference;  // per engine lane
+    for (const unsigned threads : {1u, 4u}) {
+      ServiceOptions opts = withThreads(threads);
+      opts.cacheEnabled = false;
+      VerificationService svc(opts);
+      const JobReport report = svc.run(job);
+      std::size_t built = 0;
+      for (const ObligationOutcome& o : report.obligations) {
+        EXPECT_EQ(o.engineChoiceJson, unsiftedChoice[o.id]) << o.id;
+        if (o.target != "composed") continue;
+        ASSERT_EQ(o.attempts.size(), 1u) << o.id;
+        const AttemptRecord& a = o.attempts.front();
+        if (!a.productReused) ++built;
+        Decisions& ref = reference[a.engine];
+        if (ref.empty()) {
+          ref = perObligationProducts(job, a.engine == "partitioned");
+        }
+        const auto it = ref.find(o.id);
+        ASSERT_NE(it, ref.end()) << o.id;
+        EXPECT_EQ(o.verdict, std::get<0>(it->second)) << o.id;
+        EXPECT_EQ(o.rule, std::get<1>(it->second)) << o.id;
+        EXPECT_EQ(o.counterexample, std::get<2>(it->second)) << o.id;
+        ++composedChecked;
+      }
+      if (threads == 1 && built > 0) {
+        EXPECT_EQ(built, 1u);
+      }
+    }
+  }
+  EXPECT_GT(composedChecked, 20u);
+}
+
+TEST(ServiceSharedProduct, IdleProductsAreDroppedWhenTheirSnapshotIsDone) {
+  // One worker runs the composed job's obligations, then the factory
+  // job's; by the time the factory job's attempt builds its model, the
+  // composed job has finished and its idle product must be gone.
+  VerificationJob composed;
+  composed.name = "afs2";
+  composed.smvText = readText(std::filesystem::path(CMC_MODELS_DIR) /
+                              "afs2_composed.smv");
+  composed.options.compose = true;
+  auto seen = std::make_shared<std::vector<std::size_t>>();
+  VerificationJob later;
+  later.name = "later";
+  later.factory = [seen](symbolic::Context& ctx) {
+    seen->push_back(idleComposedProducts());
+    return std::vector<smv::ElaboratedModule>{
+        smv::elaborateText(ctx, kChainSmv)};
+  };
+
+  ServiceOptions opts = withThreads(1);
+  opts.cacheEnabled = false;
+  VerificationService svc(opts);
+  const std::vector<JobReport> reports = svc.runBatch({composed, later});
+  ASSERT_EQ(reports.size(), 2u);
+  ASSERT_TRUE(reports[0].allHold());
+  ASSERT_TRUE(reports[1].allHold());
+  std::size_t reused = 0;
+  for (const ObligationOutcome& o : reports[0].obligations) {
+    if (o.target == "composed" && o.attempts.front().productReused) ++reused;
+  }
+  EXPECT_GT(reused, 0u);
+  // The snapshot build calls the factory too; the attempt's call is last.
+  ASSERT_GE(seen->size(), 2u);
+  EXPECT_EQ(seen->back(), 0u);
+  EXPECT_EQ(idleComposedProducts(), 0u);
+}
+
+TEST(ServiceSharedProduct, QuarantineRetryKeepsTheComposedEngineChoice) {
+  // Every snapshot import fails, so each first attempt throws before it
+  // resolves the composed engine; the quarantine retry rebuilds from the
+  // text and must still run on the composed product's probed engine (ring
+  // picks monolithic), not the factory-job default.
+  if (!util::Failpoint::compiledIn()) {
+    GTEST_SKIP() << "needs -DCMC_FAILPOINTS=ON";
+  }
+  VerificationJob job;
+  job.name = "ring";
+  job.smvText =
+      readText(std::filesystem::path(CMC_MODELS_DIR) / "gen" / "ring_3.smv");
+  job.options.compose = true;
+  job.options.engine = symbolic::EngineMode::Auto;
+  ServiceOptions opts = withThreads(2);
+  opts.cacheEnabled = false;
+  VerificationService clean(opts);
+  const JobReport expected = clean.run(job);
+
+  util::Failpoint::configure("scheduler.import=error");
+  VerificationService svc(opts);
+  const JobReport got = svc.run(job);
+  util::Failpoint::disarmAll();
+
+  ASSERT_EQ(got.obligations.size(), expected.obligations.size());
+  std::size_t composed = 0;
+  for (std::size_t k = 0; k < got.obligations.size(); ++k) {
+    const ObligationOutcome& o = got.obligations[k];
+    const ObligationOutcome& e = expected.obligations[k];
+    ASSERT_EQ(o.attempts.size(), 2u) << o.id;
+    EXPECT_EQ(o.attempts[0].verdict, Verdict::Error) << o.id;
+    EXPECT_EQ(o.verdict, e.verdict) << o.id;
+    EXPECT_EQ(o.counterexample, e.counterexample) << o.id;
+    EXPECT_EQ(o.attempts.back().engine, e.attempts.back().engine) << o.id;
+    EXPECT_EQ(o.engineChoiceJson, e.engineChoiceJson) << o.id;
+    if (o.target == "composed") {
+      ++composed;
+      EXPECT_EQ(o.attempts.back().engine, "monolithic") << o.id;
+    }
+  }
+  EXPECT_GT(composed, 0u);
+}
+
+TEST(ServiceSharedProduct, UndecidedAttemptsDoNotPoisonTheNextObligation) {
+  // Two jobs on the same text share a snapshot, so they would share a
+  // product key.  The first job's composed attempts all blow their node
+  // budget; their products must be dropped, so the second job builds its
+  // own and decides exactly as it does alone.
+  VerificationJob starved;
+  starved.name = "starved";
+  starved.smvText = kTwoModuleSmv;
+  starved.options.compose = true;
+  starved.options.limits.nodeBudget = 1;
+  VerificationJob healthy = starved;
+  healthy.name = "healthy";
+  healthy.options.limits.nodeBudget = 0;
+
+  ServiceOptions opts = withThreads(1);
+  opts.cacheEnabled = false;
+  VerificationService alone(opts);
+  const JobReport expected = alone.run(healthy);
+  ASSERT_TRUE(expected.allHold());
+
+  VerificationService svc(opts);
+  const std::vector<JobReport> reports = svc.runBatch({starved, healthy});
+  ASSERT_EQ(reports.size(), 2u);
+  for (const ObligationOutcome& o : reports[0].obligations) {
+    EXPECT_EQ(o.verdict, Verdict::Inconclusive) << o.id;
+  }
+  const JobReport& got = reports[1];
+  ASSERT_EQ(got.obligations.size(), expected.obligations.size());
+  bool firstComposed = true;
+  for (std::size_t k = 0; k < got.obligations.size(); ++k) {
+    const ObligationOutcome& o = got.obligations[k];
+    EXPECT_EQ(o.verdict, expected.obligations[k].verdict) << o.id;
+    EXPECT_EQ(o.rule, expected.obligations[k].rule) << o.id;
+    if (o.target == "composed" && firstComposed) {
+      firstComposed = false;
+      EXPECT_FALSE(o.attempts.front().productReused) << o.id;
+    }
+  }
+  EXPECT_FALSE(firstComposed);
+}
+
+TEST(ServiceSharedProduct, WarmJobRunsNoComposedProbe) {
+  VerificationJob job;
+  job.name = "afs2";
+  job.smvText = readText(std::filesystem::path(CMC_MODELS_DIR) /
+                         "afs2_composed.smv");
+  job.options.compose = true;
+  job.options.engine = symbolic::EngineMode::Auto;
+
+  // The snapshot probes the modules only.
+  const SnapshotResult snap = buildSnapshot(job, /*wantCanon=*/true);
+  ASSERT_TRUE(snap.snapshot) << snap.error;
+  EXPECT_FALSE(snap.snapshot->hasComposedChoice);
+
+  VerificationService svc(withThreads(2));
+  RunTrace cold;
+  const JobReport first = svc.run(job, &cold);
+  ASSERT_TRUE(first.allHold());
+  std::size_t composed = 0;
+  for (const ObligationOutcome& o : first.obligations) {
+    if (o.target != "composed") continue;
+    ++composed;
+    // The cold run still records the composed engine choice.
+    EXPECT_NE(o.engineChoiceJson.find("\"probed\": true"), std::string::npos)
+        << o.id;
+  }
+  ASSERT_GT(composed, 0u);
+
+  RunTrace warm;
+  const JobReport second = svc.run(job, &warm);
+  ASSERT_TRUE(second.allHold());
+  for (const ObligationOutcome& o : second.obligations) {
+    EXPECT_EQ(o.verdictSource, "cache") << o.id;
+    EXPECT_TRUE(o.attempts.empty()) << o.id;
+  }
+  EXPECT_EQ(warm.countContaining("\"event\": \"engine_choice\""), 0u);
+  EXPECT_EQ(warm.countContaining("\"event\": \"attempt\""), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "symbolic/checker.hpp"
 #include "symbolic/encode.hpp"
 #include "symbolic/prop.hpp"
+#include "util/timer.hpp"
 
 namespace cmc::smv {
 namespace {
@@ -444,6 +445,29 @@ ASSIGN next(n) := case n = 0 : 1; n = 1 : 2; n = 2 : 3; 1 : n; esac;
                             ctl::parse("n=3 -> AX n=3")));
   EXPECT_TRUE(checker.holds(ctl::Restriction::trivial(),
                             ctl::parse("n=0 -> EF n=3")));
+}
+
+TEST(SmvElaborate, CopyAssignmentIsLinearInTheValueCount) {
+  // The parser caps range width, but a programmatic TypeDecl does not.
+  // Matching each value by name made `next(x) := x` quadratic: 65,536
+  // values took about 23 s.  With one index map it takes well under a
+  // second; the bound is generous for slow and sanitized builds.
+  Module mod = parseModule(R"(
+MODULE main
+VAR x : 0..1;
+ASSIGN init(x) := 0; next(x) := x;
+)");
+  mod.vars.front().type.hi = 65535;
+  symbolic::Context ctx;
+  WallTimer timer;
+  const ElaboratedModule em = elaborate(ctx, mod);
+  EXPECT_LT(timer.seconds(), 10.0);
+  EXPECT_EQ(ctx.variable(ctx.varId("x")).values.size(), 65536u);
+  symbolic::Checker checker(em.sys);
+  EXPECT_TRUE(checker.holds(ctl::Restriction::trivial(),
+                            ctl::parse("x=65535 -> AX x=65535")));
+  EXPECT_FALSE(checker.holds(ctl::Restriction::trivial(),
+                             ctl::parse("x=7 -> EX x=8")));
 }
 
 }  // namespace

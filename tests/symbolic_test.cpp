@@ -657,6 +657,103 @@ TEST(PartitionCrossValidation, CheckResultAccounting) {
   EXPECT_FALSE(whole.transMaterialized());
 }
 
+// ---- Trivial fairness on a reflexive system ------------------------------
+//
+// With every fairness constraint TRUE and a local stutter track, the fair
+// set EG true is the state domain (docs/THEORY.md, "Trivial fairness on a
+// reflexive system"), so Checker::sat skips the fixpoint.
+
+TEST(TrivialFairness, ShortcutAgreesWithExplicitAndMonolithicCheckers) {
+  std::mt19937 rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    Context ctx;
+    kripke::ExplicitSystem ea = test::randomSystem(rng, 2);
+    kripke::ExplicitSystem ebRaw = test::randomSystem(rng, 2);
+    kripke::ExplicitSystem eb({"b", "c"});
+    ebRaw.forEachTransition(
+        [&](kripke::State s, kripke::State t) { eb.addTransition(s, t); });
+    const SymbolicSystem whole =
+        compose(symbolicFromExplicit(ctx, ea, "A"),
+                symbolicFromExplicit(ctx, eb, "B"));
+    Checker partitioned(whole);
+    CheckerOptions mono;
+    mono.usePartitionedTrans = false;
+    Checker monolithic(whole, mono);
+    const ExplicitImage image = explicitFromSymbolic(whole);
+    kripke::ExplicitChecker oracle(image.sys, image.semantics);
+
+    const std::vector<ctl::FormulaPtr> trivial{ctl::mkTrue()};
+    EXPECT_EQ(partitioned.fairStates(trivial), whole.stateDomain());
+    for (int i = 0; i < 8; ++i) {
+      const ctl::FormulaPtr f = test::randomFormula(rng, {"a", "b", "c"}, 3);
+      // The monolithic path never takes the shortcut: same node.
+      EXPECT_EQ(partitioned.sat(f, trivial), monolithic.sat(f, trivial))
+          << ctl::toString(f);
+      const ctl::Restriction r{
+          test::randomPropositional(rng, {"a", "b", "c"}, 2), trivial};
+      EXPECT_EQ(partitioned.holds(r, f), oracle.holds(r, f))
+          << ctl::toString(f);
+    }
+    EXPECT_GT(partitioned.skippedFairFixpoints(), 0u);
+    EXPECT_EQ(monolithic.skippedFairFixpoints(), 0u);
+  }
+}
+
+TEST(TrivialFairness, NontrivialFairnessKeepsTheFixpoint) {
+  // Figure 2's strong-fairness ring, closed under stuttering: its FAIRNESS
+  // constraint is not TRUE, so every fair set is the Emerson-Lei fixpoint.
+  std::ifstream in(std::string(CMC_MODELS_DIR) +
+                   "/figure2_strong_fairness.smv");
+  ASSERT_TRUE(in);
+  std::stringstream text;
+  text << in.rdbuf();
+  Context ctx;
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, text.str());
+  ASSERT_EQ(modules.size(), 1u);
+  SymbolicSystem sys = modules.front().sys;
+  addReflexive(sys);
+  Checker checker(sys);
+  const ExplicitImage image = explicitFromSymbolic(sys);
+  kripke::ExplicitChecker oracle(image.sys, image.semantics);
+
+  for (const ctl::Spec& spec : modules.front().specs) {
+    ASSERT_FALSE(spec.r.fairness.empty());
+    EXPECT_EQ(checker.holds(spec.r, spec.f), oracle.holds(spec.r, spec.f))
+        << spec.name;
+  }
+  EXPECT_EQ(checker.skippedFairFixpoints(), 0u);
+  // The same system under trivial fairness does take the shortcut.
+  const ctl::Restriction trivial{nullptr, {ctl::mkTrue()}};
+  const ctl::FormulaPtr f = modules.front().specs.front().f;
+  EXPECT_EQ(checker.holds(trivial, f), oracle.holds(trivial, f));
+  EXPECT_GT(checker.skippedFairFixpoints(), 0u);
+}
+
+TEST(SharedChecker, SwappedCancelHookLeavesTheCheckerUsable) {
+  // One checker serving several attempts: an attempt whose hook aborts
+  // mid-fixpoint must not change what the next attempt computes.
+  Context ctx(1 << 16);
+  afs::Afs1Components comps = afs::buildAfs1(ctx);
+  const SymbolicSystem whole = compose(comps.server.sys, comps.client.sys);
+  const ctl::Spec spec = afs::afs1SafetySpec();
+  Checker fresh(whole);
+  const bool expected = fresh.holds(spec);
+
+  Checker shared(whole);
+  int polls = 0;
+  shared.setCancelCheck([&polls] {
+    if (++polls == 3) {
+      throw CancelledError(CancelReason::NodeBudget, "test budget");
+    }
+  });
+  EXPECT_THROW(shared.holds(spec), CancelledError);
+  shared.setCancelCheck(nullptr);
+  EXPECT_EQ(shared.holds(spec), expected);
+  EXPECT_EQ(shared.sat(spec.f, spec.r.fairness),
+            fresh.sat(spec.f, spec.r.fairness));
+}
+
 // ---- The oracle test: symbolic vs explicit on random models ----------------
 
 class CheckerAgreement : public ::testing::TestWithParam<int> {};

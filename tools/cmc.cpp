@@ -858,7 +858,8 @@ std::string buildCheckRequest(const SubmitOptions& opts, const std::string& id,
 }
 
 /// Render one CHECK response; returns the submit exit code contribution
-/// (0 ok, 2 bad request, 6 refused) and folds the verdict into *worst.
+/// (0 ok, 2 bad request or model error, 6 refused) and folds the verdict
+/// into *worst.
 int renderCheckResponse(const std::string& resp, bool quiet,
                         service::Verdict* worst, std::string* reportOut) {
   bool ok = false;
@@ -897,10 +898,23 @@ int renderCheckResponse(const std::string& resp, bool quiet,
   if (service::verdictFromString(verdictText, &verdict)) {
     *worst = service::worseVerdict(*worst, verdict);
   }
-  if (reportOut != nullptr) {
-    service::jsonExtractString(resp, "report", reportOut);
+  std::string report;
+  service::jsonExtractString(resp, "report", &report);
+  // A model that does not parse or elaborate is a model error, not a
+  // verdict: key on the report's <elaboration> obligation as cmc check
+  // does, print its message even under --quiet, and exit 2.  The marker's
+  // quotes are unescaped, so it cannot match inside a string value.
+  int rc = 0;
+  const std::string marker = "\"spec\": \"" +
+                             std::string(service::kElaborationSpec) + "\"";
+  if (const std::size_t at = report.find(marker); at != std::string::npos) {
+    std::string message;
+    service::jsonExtractString(report.substr(at), "error", &message);
+    std::cerr << "cmc submit: " << job << ": " << message << "\n";
+    rc = 2;
   }
-  return 0;
+  if (reportOut != nullptr) *reportOut = std::move(report);
+  return rc;
 }
 
 /// Send one CHECK, retrying BUSY/DRAINING refusals and transport failures
